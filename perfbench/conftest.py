@@ -1,0 +1,9 @@
+"""Puts the program's source tree on ``sys.path`` for the benchmark tests
+(``python3 -m pytest perfbench`` from the repository root)."""
+
+import os
+import sys
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+if _SRC not in sys.path:
+    sys.path.insert(0, _SRC)
