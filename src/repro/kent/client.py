@@ -49,8 +49,7 @@ class KentPolicy(ConsistencyPolicy):
                 finally:
                     c.cache.flush_end(buf, stamp, clean=ok)
             if invalidate and buf is not None:
-                if c.cache.contains(g.cache_key, bno):
-                    del c.cache._buffers[(g.cache_key, bno)]
+                c.cache.discard(g.cache_key, bno)
         if invalidate:
             self._tokens.pop(key, None)
         elif self._tokens.get(key) == "exclusive":

@@ -20,6 +20,7 @@ fully; scalars and structure contribute small fixed costs), so a 4 KB
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -86,11 +87,20 @@ def estimate_size(obj: Any) -> int:
         return sum(estimate_size(k) + estimate_size(v) for k, v in obj.items())
     if isinstance(obj, (list, tuple, set, frozenset)):
         return sum(estimate_size(item) for item in obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return sum(
-            estimate_size(getattr(obj, f.name)) for f in dataclasses.fields(obj)
-        )
+    names = _field_names(type(obj))
+    if names is not None:
+        return sum(estimate_size(getattr(obj, name)) for name in names)
     return 8
+
+
+@functools.lru_cache(maxsize=None)
+def _field_names(cls: type) -> Optional[Tuple[str, ...]]:
+    """Field names of a dataclass type, in declaration order; None for
+    any other type (a dataclass *class* passed as a payload is a type
+    object, whose own type is not a dataclass)."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return tuple(f.name for f in dataclasses.fields(cls))
 
 
 @dataclass

@@ -184,10 +184,7 @@ class SnfsPolicy(ConsistencyPolicy):
         # size in that window would make reads see a truncated file.
         c = self.client
         local = g.private.get("attr")
-        pending = any(
-            b.dirty or b.busy for b in c.cache.file_blocks(g.cache_key)
-        )
-        if local is not None and pending:
+        if local is not None and c.cache.has_pending(g.cache_key):
             attr = attr.copy()
             attr.size = max(attr.size, local.size)
             attr.mtime = max(attr.mtime, local.mtime)
@@ -391,9 +388,7 @@ class SnfsPolicy(ConsistencyPolicy):
             # entry without us as last writer, so the eventual
             # retransmitted write would land with no writeback callback
             # coverage
-            dirty = any(
-                b.dirty or b.busy for b in c.cache.file_blocks(g.cache_key)
-            )
+            dirty = c.cache.has_pending(g.cache_key)
             pending = len(g.private.get("pending_closes") or [])
             if g.open_reads or g.open_writes or dirty or pending:
                 report.append(

@@ -8,6 +8,12 @@ write-back policy), whole-file invalidation (NFS consistency, SNFS
 callbacks), and **cancellation** of dirty blocks when a file is deleted
 before write-back — the optimization behind tables 5-5/5-6.
 
+Besides the LRU list of every resident block, the cache keeps a
+per-file index (file key → {block number: buffer}) in the same LRU
+order, so whole-file queries cost the blocks of that file rather than
+a walk over the whole cache.  Only this module touches either
+structure; everything else goes through the methods below.
+
 Eviction of a dirty victim must write it out first; since that is a
 simulated I/O, ``insert`` is a coroutine and the cache is constructed
 with a ``flush_fn(buffer)`` coroutine supplied by the owner.
@@ -16,7 +22,7 @@ with a ``flush_fn(buffer)`` coroutine supplied by the owner.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Hashable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from ..metrics import Counters
 from ..sim import Simulator
@@ -73,12 +79,39 @@ class BufferCache:
         self.name = name
         self.flush_fn = flush_fn  # coroutine(buffer); required before dirty eviction
         self._buffers: "OrderedDict[BlockKey, Buffer]" = OrderedDict()
+        #: file key -> {block number: buffer}; each file's blocks in the
+        #: same relative (LRU) order as in ``_buffers``, and no empty dicts
+        self._files: Dict[Hashable, Dict[int, Buffer]] = {}
         self.stats = Counters()
 
     # -- basic operations ---------------------------------------------------
 
     def __len__(self) -> int:
         return len(self._buffers)
+
+    def _add(self, buf: Buffer) -> None:
+        self._buffers[buf.key] = buf
+        file_key, block_no = buf.key
+        blocks = self._files.get(file_key)
+        if blocks is None:
+            self._files[file_key] = {block_no: buf}
+        else:
+            blocks[block_no] = buf
+
+    def _remove(self, buf: Buffer) -> None:
+        del self._buffers[buf.key]
+        file_key, block_no = buf.key
+        blocks = self._files[file_key]
+        del blocks[block_no]
+        if not blocks:
+            del self._files[file_key]
+
+    def _touch(self, buf: Buffer) -> None:
+        """Make ``buf`` the most recently used block, in both orders."""
+        self._buffers.move_to_end(buf.key)
+        file_key, block_no = buf.key
+        blocks = self._files[file_key]
+        blocks[block_no] = blocks.pop(block_no)
 
     def _trace(self, name: str, **args) -> None:
         # call sites guard on ``self.sim.tracer is not None`` themselves
@@ -90,7 +123,7 @@ class BufferCache:
     def lookup(self, file_key: Hashable, block_no: int) -> Optional[Buffer]:
         buf = self._buffers.get((file_key, block_no))
         if buf is not None:
-            self._buffers.move_to_end(buf.key)
+            self._touch(buf)
             self.stats.record("hits")
             if self.sim.tracer is not None:
                 self._trace("cache.hit", file=str(file_key), block=block_no)
@@ -110,12 +143,12 @@ class BufferCache:
         if buf is None:
             yield from self._make_room()
             buf = Buffer(key, data)
-            self._buffers[key] = buf  # lint: ok=ATOM001 — same-key inserts race to install identical fresh data; dirty blocks never pass through insert
+            self._add(buf)  # lint: ok=ATOM001 — same-key inserts race to install identical fresh data; dirty blocks never pass through insert
             self.stats.record("inserts")
         else:
             buf.data = data
             buf.wstamp += 1
-            self._buffers.move_to_end(key)
+            self._touch(buf)
         if dirty:
             self.mark_dirty(buf)
         return buf
@@ -216,8 +249,8 @@ class BufferCache:
                 if victim.dirty:
                     continue  # written to during the flush; not evictable yet
             # victim may have been invalidated during the flush
-            if victim.key in self._buffers and self._buffers[victim.key] is victim:
-                del self._buffers[victim.key]
+            if self._buffers.get(victim.key) is victim:
+                self._remove(victim)
                 self.stats.record("evictions")
                 if self.sim.tracer is not None:
                     self._trace(
@@ -239,7 +272,30 @@ class BufferCache:
     # -- whole-file operations -------------------------------------------
 
     def file_blocks(self, file_key: Hashable) -> List[Buffer]:
-        return [b for b in self._buffers.values() if b.file_key == file_key]
+        """The file's resident blocks, least recently used first."""
+        blocks = self._files.get(file_key)
+        return list(blocks.values()) if blocks else []
+
+    def has_pending(self, file_key: Hashable) -> bool:
+        """Whether any block of the file is dirty or mid-flush: its data
+        has not reached the server (or disk) yet."""
+        blocks = self._files.get(file_key)
+        return blocks is not None and any(
+            b.dirty or b.busy for b in blocks.values()
+        )
+
+    def discard(self, file_key: Hashable, block_no: int) -> bool:
+        """Drop one block, whatever its state; True if it was resident."""
+        buf = self._buffers.get((file_key, block_no))
+        if buf is None:
+            return False
+        self._remove(buf)
+        return True
+
+    def clear(self) -> None:
+        """Drop every block (the cache's memory is lost or reset)."""
+        self._buffers.clear()
+        self._files.clear()
 
     def invalidate_file(self, file_key: Hashable) -> int:
         """Drop every block of a file (clean or dirty, except busy ones)."""
@@ -247,7 +303,7 @@ class BufferCache:
         for buf in self.file_blocks(file_key):
             if buf.busy:
                 continue
-            del self._buffers[buf.key]
+            self._remove(buf)
             dropped += 1
         if dropped:
             self.stats.record("invalidated", n=dropped)
@@ -266,7 +322,7 @@ class BufferCache:
                 continue
             if buf.dirty:
                 cancelled += 1
-            del self._buffers[buf.key]
+            self._remove(buf)
         if cancelled:
             self.stats.record("cancelled_writes", n=cancelled)
             self._trace("cache.cancel_dirty", file=str(file_key), blocks=cancelled)
@@ -279,11 +335,13 @@ class BufferCache:
     ) -> List[Buffer]:
         """Dirty, non-busy buffers; optionally filtered by file and age."""
         now = self.sim.now
+        if file_key is None:
+            candidates = self._buffers.values()
+        else:
+            candidates = self._files.get(file_key, {}).values()
         out = []
-        for buf in self._buffers.values():
+        for buf in candidates:
             if not buf.dirty or buf.busy:
-                continue
-            if file_key is not None and buf.file_key != file_key:
                 continue
             if older_than is not None:
                 born = now if buf.dirty_since is None else buf.dirty_since

@@ -108,3 +108,100 @@ def test_lru_eviction_keeps_most_recent(keys):
     expected = set(recent[-8:])
     actual = {b.block_no for b in cache.file_blocks("f")}
     assert actual == expected
+
+
+FILES = ("f1", "f2", "f3")
+
+index_ops_strategy = st.lists(
+    st.tuples(
+        st.sampled_from([
+            "insert", "insert_dirty", "lookup", "mark_dirty", "overwrite",
+            "flush_begin", "flush_end", "flush_abandon", "make_room",
+            "arm_hook", "invalidate", "cancel", "discard", "clear",
+        ]),
+        st.sampled_from(FILES),
+        st.integers(min_value=0, max_value=5),
+    ),
+    max_size=80,
+)
+
+
+def assert_index_coherent(cache):
+    """Every per-file query equals a filter of the full LRU scan, in the
+    same order."""
+    resident = list(cache._buffers.values())
+    for f in FILES:
+        ref = [b for b in resident if b.file_key == f]
+        assert cache.file_blocks(f) == ref
+        assert cache.dirty_buffers(file_key=f) == [
+            b for b in ref if b.dirty and not b.busy
+        ]
+        assert cache.has_pending(f) == any(b.dirty or b.busy for b in ref)
+    assert sum(len(cache.file_blocks(f)) for f in FILES) == len(cache)
+
+
+@given(ops=index_ops_strategy, capacity=st.integers(min_value=2, max_value=8))
+@settings(max_examples=150, deadline=None)
+def test_file_index_matches_full_scan(ops, capacity):
+    """The per-file index stays coherent with the LRU list under every
+    mutation, including flushes that overlap writes, flushes that are
+    abandoned, and blocks dropped while their eviction flush is in
+    flight."""
+    sim = Simulator()
+    hook = []  # what the next eviction flush does while in flight
+    inflight = []  # (buf, stamp) of flushes begun by hand
+
+    def flush(buf):
+        yield sim.timeout(0.01)
+        if hook:
+            kind, f = hook.pop()
+            if kind == "overlap":
+                cache.mark_dirty(buf)  # written during its own flush
+            elif kind == "discard":
+                cache.discard(*buf.key)
+            else:
+                cache.invalidate_file(f)
+
+    cache = BufferCache(sim, capacity_blocks=capacity, flush_fn=flush)
+
+    def wedged():
+        # every resident block busy: eviction has nothing to pick
+        return len(cache) >= capacity and all(
+            b.busy for b in cache._buffers.values()
+        )
+
+    def scenario():
+        for op, f, b in ops:
+            buf = cache._buffers.get((f, b))
+            if op in ("insert", "insert_dirty"):
+                if not wedged():
+                    yield from cache.insert(f, b, b"%d" % b, dirty=op == "insert_dirty")
+            elif op == "lookup":
+                cache.lookup(f, b)
+            elif op == "mark_dirty" and buf is not None:
+                cache.mark_dirty(buf)
+            elif op == "overwrite" and buf is not None:
+                cache.overwrite(buf, b"o", dirty=True)
+            elif op == "flush_begin" and buf is not None:
+                if buf.dirty and not buf.busy:
+                    inflight.append((buf, cache.flush_begin(buf)))
+            elif op in ("flush_end", "flush_abandon") and inflight:
+                done, stamp = inflight.pop(b % len(inflight))
+                cache.flush_end(done, stamp, clean=op == "flush_end")
+            elif op == "make_room":
+                if not wedged():
+                    yield from cache._make_room()
+            elif op == "arm_hook":
+                hook[:] = [(("overlap", "discard", "invalidate")[b % 3], f)]
+            elif op == "invalidate":
+                cache.invalidate_file(f)
+            elif op == "cancel":
+                cache.cancel_dirty_file(f)
+            elif op == "discard":
+                cache.discard(f, b)
+            elif op == "clear":
+                cache.clear()
+            assert_index_coherent(cache)
+            assert len(cache) <= capacity
+
+    drive(sim, scenario())

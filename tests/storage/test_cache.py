@@ -1,5 +1,8 @@
 """Tests for the block buffer cache."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.sim import Simulator
@@ -192,3 +195,69 @@ def test_file_blocks_listing():
     run(sim, scenario())
     blocks = sorted(b.block_no for b in cache.file_blocks("f"))
     assert blocks == [0, 5]
+
+
+def test_file_blocks_follow_lru_order():
+    sim, cache, _ = make_cache()
+
+    def scenario():
+        for bno in (0, 1, 2):
+            yield from cache.insert("f", bno, b"x")
+        yield from cache.insert("g", 0, b"y")
+        cache.lookup("f", 0)  # hit: most recently used again
+        yield from cache.insert("f", 1, b"z")  # rewrite: likewise
+
+    run(sim, scenario())
+    assert [b.block_no for b in cache.file_blocks("f")] == [2, 0, 1]
+    assert cache.file_blocks("nothing") == []
+
+
+def test_has_pending_sees_dirty_and_busy_blocks():
+    sim, cache, _ = make_cache()
+
+    def scenario():
+        buf = yield from cache.insert("f", 0, b"a", dirty=True)
+        yield from cache.insert("f", 1, b"b")
+        assert cache.has_pending("f")
+        stamp = cache.flush_begin(buf)  # mid-flush: busy, still pending
+        assert cache.dirty_buffers(file_key="f") == []
+        assert cache.has_pending("f")
+        cache.flush_end(buf, stamp)
+        assert not cache.has_pending("f")
+        assert not cache.has_pending("g")
+
+    run(sim, scenario())
+
+
+def test_discard_and_clear():
+    sim, cache, _ = make_cache()
+
+    def scenario():
+        yield from cache.insert("f", 0, b"a", dirty=True)
+        yield from cache.insert("f", 1, b"b")
+        yield from cache.insert("g", 0, b"c")
+
+    run(sim, scenario())
+    assert cache.discard("f", 0)
+    assert not cache.discard("f", 0)
+    assert [b.block_no for b in cache.file_blocks("f")] == [1]
+    assert not cache.has_pending("f")
+    cache.clear()
+    assert len(cache) == 0
+    assert cache.file_blocks("f") == [] and cache.file_blocks("g") == []
+    assert cache.stats.get("cancelled_writes") == 0
+
+
+def test_only_the_cache_module_touches_its_buffers():
+    """The cache keeps a per-file index beside its LRU list; code that
+    edits ``_buffers`` directly would leave the index stale."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    owner = src / "repro" / "storage" / "cache.py"
+    offenders = [
+        "%s:%d" % (path.relative_to(src), lineno)
+        for path in sorted(src.rglob("*.py"))
+        if path != owner
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"\._buffers\b", line)
+    ]
+    assert offenders == []
