@@ -12,9 +12,12 @@ Two digest families:
 
 * **output digests** — sha256 of the rendered table/figure text
   (Tables 5-1..5-6, Figures 5-1/5-2, the §5.3 microbenchmark, the
-  §2.3 consistency demo, the seeded resilience table).  The rendered
-  text includes simulated elapsed times and RPC counts, so any
-  behavioral drift shows up.
+  §2.3 consistency demo, the seeded resilience table, the scaling and
+  block-sharing extension tables).  The rendered text includes
+  simulated elapsed times and RPC counts, so any behavioral drift
+  shows up.  The two nemesis entries hash the canonical cell list of
+  the 70-cell matrix and of the sharded failover cells at seed 1, so
+  their digests equal the ``repro-nemesis/1`` document digests.
 * **trace digests** — :func:`repro.trace.trace_digest` over the full
   causal trace of the traced scenarios (the §5.3 microbenchmark, the
   resilience scenario, the two-client Andrew run per protocol).  A
@@ -94,6 +97,42 @@ def _resilience() -> str:
     return resilience_table(seed=1)[0]
 
 
+def _scaling() -> str:
+    from ..experiments import scaling_table
+
+    return scaling_table()[0]
+
+
+def _blocksharing() -> str:
+    from ..experiments import block_sharing_table
+
+    return block_sharing_table()[0]
+
+
+def _nemesis_cells(cells) -> str:
+    """The canonical cell serialization a ``repro-nemesis/1`` document
+    digest hashes, so the golden digest equals the document's."""
+    import json
+
+    from ..nemesis import nemesis_document
+
+    return json.dumps(
+        nemesis_document(cells, seed=1)["cells"], sort_keys=True, separators=(",", ":")
+    )
+
+
+def _nemesis_matrix() -> str:
+    from ..nemesis import run_matrix
+
+    return _nemesis_cells(run_matrix(seed=1))
+
+
+def _nemesis_sharded() -> str:
+    from ..nemesis import run_sharded_cells
+
+    return _nemesis_cells(run_sharded_cells(seed=1))
+
+
 #: scenario name -> zero-argument callable returning the canonical text
 GOLDEN_OUTPUTS: Dict[str, Callable[[], str]] = {
     "table-5-1": _table("5-1"),
@@ -107,6 +146,10 @@ GOLDEN_OUTPUTS: Dict[str, Callable[[], str]] = {
     "micro-5-3": _micro,
     "consistency-2-3": _consistency,
     "resilience-seed1": _resilience,
+    "scaling": _scaling,
+    "blocksharing": _blocksharing,
+    "nemesis-matrix-seed1": _nemesis_matrix,
+    "nemesis-sharded-seed1": _nemesis_sharded,
 }
 
 
