@@ -52,9 +52,9 @@ from .fs import (
 )
 from .host import Host, HostConfig
 from .net import Network, NetworkConfig, RpcConfig, RpcEndpoint
-from .nfs import NfsClient, NfsClientConfig, NfsServer, mount_nfs
-from .kent import KentClient, KentServer, mount_kent
-from .lease import LeaseClient, LeaseServer, mount_lease
+from .nfs import NfsClient, NfsClientConfig, NfsServer
+from .kent import KentClient, KentServer
+from .lease import LeaseClient, LeaseServer
 from .proto import (
     ConsistencyPolicy,
     RemoteFsClient,
@@ -62,7 +62,7 @@ from .proto import (
     RemoteFsServer,
 )
 from .lockd import LockClient, LockServer, LockTimeout
-from .rfs import RfsClient, RfsServer, mount_rfs
+from .rfs import RfsClient, RfsServer
 from .sim import Simulator
 from .snfs import (
     FileState,
@@ -70,7 +70,6 @@ from .snfs import (
     SnfsClientConfig,
     SnfsServer,
     StateTable,
-    mount_snfs,
 )
 from .storage import BufferCache, Disk, DiskConfig
 from .workloads import (
@@ -115,22 +114,17 @@ __all__ = [
     "NfsServer",
     "NfsClient",
     "NfsClientConfig",
-    "mount_nfs",
     "SnfsServer",
     "SnfsClient",
     "SnfsClientConfig",
-    "mount_snfs",
     "StateTable",
     "FileState",
     "RfsServer",
     "RfsClient",
-    "mount_rfs",
     "KentServer",
     "KentClient",
-    "mount_kent",
     "LeaseServer",
     "LeaseClient",
-    "mount_lease",
     "LockServer",
     "LockClient",
     "LockTimeout",

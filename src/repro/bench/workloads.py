@@ -35,6 +35,8 @@ import posixpath
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..proto.registry import NAMES
+
 __all__ = [
     "WORKLOAD_SCENARIOS",
     "run_workload_cell",
@@ -303,7 +305,7 @@ def _sweep_digest() -> str:
 # -- the suite ---------------------------------------------------------------
 
 CLUSTER_NS = (16, 64, 256)
-CLUSTER_PROTOCOLS = ("nfs", "snfs", "rfs", "kent", "lease")
+CLUSTER_PROTOCOLS = NAMES
 
 #: the large-N scaling points (full suite only): one iteration per
 #: client keeps a 4096-client simulation around a minute of wall clock

@@ -15,11 +15,10 @@ from typing import Dict, Tuple
 
 from ..fs.types import OpenMode
 from ..host import Host, HostConfig
-from ..kent import KentClient, KentServer
 from ..metrics import format_table
 from ..net import Network
-from ..sim import AllOf, Simulator
-from ..snfs import SnfsClient, SnfsServer
+from ..proto.registry import drive, drive_all, make_mount, make_server
+from ..sim import Simulator
 
 __all__ = ["BlockSharingResult", "run_block_sharing", "block_sharing_table"]
 
@@ -37,38 +36,17 @@ def _build(protocol: str):
     network = Network(sim)
     server_host = Host(sim, network, "server", HostConfig.titan_server())
     export = server_host.add_local_fs("/export", fsid="exportfs")
-    if protocol == "snfs":
-        SnfsServer(server_host, export)
-        client_cls = SnfsClient
-    elif protocol == "kent":
-        KentServer(server_host, export)
-        client_cls = KentClient
-    else:
-        raise ValueError(protocol)
+    make_server(protocol, server_host, export)
     kernels = []
     hosts = []
     for i in range(2):
         host = Host(sim, network, "client%d" % i, HostConfig.titan_client())
-        client = client_cls("m%d" % i, host, "server")
-        _drive(sim, client.attach())
+        client = make_mount(protocol, "m%d" % i, host, "server")
+        drive(sim, client.attach())
         host.kernel.mount("/data", client)
         kernels.append(host.kernel)
         hosts.append(host)
     return sim, kernels, hosts
-
-
-def _drive(sim, gen):
-    box = {}
-
-    def wrapper():
-        box["v"] = yield from gen
-
-    proc = sim.spawn(wrapper())
-    sim.run_until(proc, limit=1e6)
-    if proc.exception is not None:
-        proc.defuse()
-        raise proc.exception
-    return box.get("v")
 
 
 def run_block_sharing(
@@ -91,17 +69,7 @@ def run_block_sharing(
         yield from k.close(fd)
 
     t0 = sim.now
-    procs = [
-        sim.spawn(actor(0, 0)),
-        sim.spawn(actor(1, 8192)),
-    ]
-    gate = AllOf(sim, procs)
-    gate.defuse()
-    sim.run_until(gate, limit=1e6)
-    for proc in procs:
-        if proc.exception is not None:
-            proc.defuse()
-            raise proc.exception
+    drive_all(sim, [actor(0, 0), actor(1, 8192)], name="actor")
     elapsed = sim.now - t0
 
     total = data = 0

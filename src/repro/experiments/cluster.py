@@ -21,13 +21,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from ..host import Host, HostConfig
-from ..kent import KentClient, KentServer
-from ..lease import LeaseClient, LeaseServer
 from ..net import Network, NetworkConfig
-from ..nfs import NfsClient, NfsClientConfig, NfsServer, classify_ops
-from ..rfs import RfsClient, RfsServer
+from ..nfs import classify_ops
+from ..proto.registry import NAMES, drive, drive_all, make_mount, make_server
 from ..sim import Simulator
-from ..snfs import SnfsClient, SnfsClientConfig, SnfsServer
 
 __all__ = [
     "Testbed",
@@ -37,10 +34,10 @@ __all__ = [
     "build_cluster",
 ]
 
-PROTOCOLS = ("local", "nfs", "snfs", "rfs", "kent", "lease")
-
 #: protocols that can serve an N-client cluster (everything remote)
-CLUSTER_PROTOCOLS = ("nfs", "snfs", "rfs", "kent", "lease")
+CLUSTER_PROTOCOLS = NAMES
+
+PROTOCOLS = ("local",) + CLUSTER_PROTOCOLS
 
 
 @dataclass
@@ -56,42 +53,11 @@ class Testbed:
 
     def run(self, coro, limit: float = 1e7):
         """Drive one coroutine to completion (daemons keep running)."""
-        box = {}
-
-        def wrapper():
-            box["value"] = yield from coro
-
-        proc = self.sim.spawn(wrapper(), name="workload")
-        self.sim.run_until(proc, limit=limit)
-        if not proc.triggered:
-            raise TimeoutError("workload did not finish before %g" % limit)
-        if proc.exception is not None:
-            proc.defuse()
-            raise proc.exception
-        return box.get("value")
+        return drive(self.sim, coro, limit, "workload")
 
     def run_all(self, *coros, limit: float = 1e7):
-        from ..sim import AllOf
-
-        procs = [self.sim.spawn(self._wrap(c)) for c in coros]
-        gate = AllOf(self.sim, procs)
-        gate.defuse()
-        self.sim.run_until(gate, limit=limit)
-        out = []
-        for proc in procs:
-            if proc.exception is not None:
-                proc.defuse()
-                raise proc.exception
-            out.append(proc.value)
-        return out
-
-    @staticmethod
-    def _wrap(coro):
-        def wrapper():
-            result = yield from coro
-            return result
-
-        return wrapper()
+        """Drive several coroutines concurrently to completion."""
+        return drive_all(self.sim, coros, limit)
 
     # -- measurement helpers ---------------------------------------------
 
@@ -196,35 +162,18 @@ def build_testbed(
             keep_call_times=keep_call_times,
             seed=seed,
         )
+        # both exports live in one filesystem on the server's one disk:
+        # /export/data and /export/tmp, served by a single server object
+        export = server_host.add_local_fs("/export", fsid="exportfs")
         testbed = Testbed(
             sim=sim,
             network=network,
             client=client,
             server_host=server_host,
-            server=None,
+            server=make_server(protocol, server_host, export, max_open_files),
             protocol=protocol,
             remote_tmp=remote_tmp,
         )
-        # both exports live in one filesystem on the server's one disk:
-        # /export/data and /export/tmp, served by a single server object
-        export = server_host.add_local_fs("/export", fsid="exportfs")
-        if protocol == "nfs":
-            server = NfsServer(server_host, export)
-            default_cfg = NfsClientConfig()
-        elif protocol == "snfs":
-            server = SnfsServer(server_host, export, max_open_files=max_open_files)
-            default_cfg = SnfsClientConfig()
-        elif protocol == "kent":
-            server = KentServer(server_host, export)
-            default_cfg = None
-        elif protocol == "lease":
-            server = LeaseServer(server_host, export)
-            default_cfg = None
-        else:
-            server = RfsServer(server_host, export)
-            default_cfg = None
-        testbed.server = server
-        cfg = client_config if client_config is not None else default_cfg
 
         def setup():
             yield from server_host.kernel.mkdir("/export/data")
@@ -232,7 +181,9 @@ def build_testbed(
 
         testbed.run(setup())
 
-        root_client = _make_client(protocol, "root", client, "server", cfg)
+        root_client = make_mount(
+            protocol, "%s:root" % protocol, client, "server", client_config
+        )
         testbed.run(root_client.attach())
         # mount subdirectories of the export at /data and /tmp
         data_root = testbed.run(
@@ -272,21 +223,7 @@ class ClusterBed:
 
     def run_all(self, *coros, limit: float = 1e7):
         """Drive several coroutines concurrently to completion."""
-        from ..sim import AllOf
-
-        procs = [self.sim.spawn(Testbed._wrap(c)) for c in coros]
-        gate = AllOf(self.sim, procs)
-        gate.defuse()
-        self.sim.run_until(gate, limit=limit)
-        out = []
-        for proc in procs:
-            if not proc.triggered:
-                raise TimeoutError("cluster workload did not finish before %g" % limit)
-            if proc.exception is not None:
-                proc.defuse()
-                raise proc.exception
-            out.append(proc.value)
-        return out
+        return drive_all(self.sim, coros, limit)
 
     def total_rpcs(self) -> int:
         """RPCs served by the server plus callbacks it issued."""
@@ -311,11 +248,6 @@ def build_cluster(
     benchmark sweep: one server exporting one filesystem, ``n_clients``
     hosts each mounting it at ``/data`` with their own update daemon.
     """
-    if protocol not in CLUSTER_PROTOCOLS:
-        raise ValueError(
-            "cluster protocol must be one of %s, got %r"
-            % (", ".join(CLUSTER_PROTOCOLS), protocol)
-        )
     sim = Simulator()
     net_cfg = network_config or NetworkConfig()
     if seed is not None:
@@ -331,16 +263,7 @@ def build_cluster(
     export = server_host.add_local_fs("/export", fsid="exportfs")
     if max_open_files is None:
         max_open_files = max(4000, 64 * n_clients)
-    if protocol == "nfs":
-        server = NfsServer(server_host, export)
-    elif protocol == "snfs":
-        server = SnfsServer(server_host, export, max_open_files=max_open_files)
-    elif protocol == "rfs":
-        server = RfsServer(server_host, export)
-    elif protocol == "kent":
-        server = KentServer(server_host, export)
-    else:
-        server = LeaseServer(server_host, export)
+    server = make_server(protocol, server_host, export, max_open_files)
     server_host.update_daemon.start()
 
     bed = ClusterBed(
@@ -359,41 +282,12 @@ def build_cluster(
             host_config or HostConfig.titan_client(),
             seed=seed,
         )
-        client = _make_client(protocol, "m%d" % i, host, "server", None)
-        _drive_to_completion(sim, client.attach())
+        client = make_mount(protocol, "%s:m%d" % (protocol, i), host, "server")
+        drive(sim, client.attach())
         host.kernel.mount("/data", client)
         host.update_daemon.start()
         bed.client_hosts.append(host)
     return bed
-
-
-def _drive_to_completion(sim, gen, limit: float = 1e6):
-    box = {}
-
-    def wrapper():
-        box["v"] = yield from gen
-
-    proc = sim.spawn(wrapper())
-    sim.run_until(proc, limit=limit)
-    if proc.exception is not None:
-        proc.defuse()
-        raise proc.exception
-    return box.get("v")
-
-
-def _make_client(protocol, tag, host, server_addr, cfg):
-    mount_id = "%s:%s" % (protocol, tag)
-    if protocol == "nfs":
-        return NfsClient(mount_id, host, server_addr, config=cfg)
-    if protocol == "snfs":
-        return SnfsClient(mount_id, host, server_addr, config=cfg)
-    if protocol == "rfs":
-        return RfsClient(mount_id, host, server_addr, config=cfg)
-    if protocol == "kent":
-        return KentClient(mount_id, host, server_addr, config=cfg)
-    if protocol == "lease":
-        return LeaseClient(mount_id, host, server_addr, config=cfg)
-    raise ValueError(protocol)
 
 
 class _SubtreeMount:

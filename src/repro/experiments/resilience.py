@@ -38,14 +38,11 @@ from ..faults import (
 )
 from ..fs.types import OpenMode
 from ..host import Host, HostConfig
-from ..kent import KentClient, KentServer
-from ..lease import LeaseClient, LeaseServer
 from ..metrics import format_table
 from ..net import Network, NetworkConfig
-from ..nfs import NfsClient, NfsClientConfig, NfsServer
-from ..rfs import RfsClient, RfsServer
+from ..nfs import era_nfs_config
+from ..proto.registry import drive, drive_all, make_mount, make_server, spec
 from ..sim import Simulator
-from ..snfs import SnfsClient, SnfsClientConfig, SnfsServer
 from ..workloads import AndrewBenchmark, make_tree
 
 __all__ = ["ResilienceBed", "ResilienceRun", "resilience_table", "run_resilience"]
@@ -91,24 +88,7 @@ class ResilienceBed:
             self.sim, self.network, "server", HostConfig.titan_server(), seed=seed
         )
         self.export = self.server_host.add_local_fs("/export", fsid="exportfs")
-        if protocol == "nfs":
-            self.server = NfsServer(self.server_host, self.export)
-            default_cfg = NfsClientConfig()
-        elif protocol == "snfs":
-            self.server = SnfsServer(self.server_host, self.export)
-            default_cfg = SnfsClientConfig()
-        elif protocol == "rfs":
-            self.server = RfsServer(self.server_host, self.export)
-            default_cfg = None
-        elif protocol == "kent":
-            self.server = KentServer(self.server_host, self.export)
-            default_cfg = None
-        elif protocol == "lease":
-            self.server = LeaseServer(self.server_host, self.export)
-            default_cfg = None
-        else:
-            raise ValueError("unknown protocol %r" % protocol)
-        cfg = client_config if client_config is not None else default_cfg
+        self.server = make_server(protocol, self.server_host, self.export)
 
         self.clients: List[Host] = []
         self.mounts: List[object] = []
@@ -121,17 +101,9 @@ class ResilienceBed:
                 seed=seed + i + 1,
             )
             host.add_local_fs("/tmp", fsid="tmpfs%d" % i, disk_name="tmpdisk")
-            mount_id = "%s%d" % (protocol, i)
-            if protocol == "nfs":
-                client = NfsClient(mount_id, host, "server", config=cfg)
-            elif protocol == "snfs":
-                client = SnfsClient(mount_id, host, "server", config=cfg)
-            elif protocol == "kent":
-                client = KentClient(mount_id, host, "server", config=cfg)
-            elif protocol == "lease":
-                client = LeaseClient(mount_id, host, "server", config=cfg)
-            else:
-                client = RfsClient(mount_id, host, "server", config=cfg)
+            client = make_mount(
+                protocol, "%s%d" % (protocol, i), host, "server", client_config
+            )
             self.run(client.attach())
             host.kernel.mount("/data", client)
             host.update_daemon.start()
@@ -155,38 +127,18 @@ class ResilienceBed:
 
     def run(self, coro, limit: float = 1e7):
         """Drive one coroutine to completion (daemons keep running)."""
-        box = {}
-
-        def wrapper():
-            box["value"] = yield from coro
-
-        proc = self.sim.spawn(wrapper(), name="workload")
-        self.sim.run_until(proc, limit=limit)
-        if not proc.triggered:
-            raise TimeoutError("workload did not finish before %g" % limit)
-        if proc.exception is not None:
-            proc.defuse()
-            raise proc.exception
-        return box.get("value")
+        return drive(self.sim, coro, limit, "workload")
 
     def run_all(self, *coros, limit: float = 1e7):
-        from ..sim import AllOf
-
-        procs = [self.sim.spawn(c, name="workload") for c in coros]
-        gate = AllOf(self.sim, procs)
-        gate.defuse()
-        self.sim.run_until(gate, limit=limit)
-        for proc in procs:
-            if proc.exception is not None:
-                proc.defuse()
-                raise proc.exception
+        """Drive several coroutines concurrently to completion."""
+        return drive_all(self.sim, coros, limit, "workload")
 
     def final_checks(self) -> None:
         """Flush delayed writes, then run the end-of-run oracle checks."""
         for host in self.clients:
             if not host.crashed:
                 self.run(host.kernel.sync())
-        if self.protocol == "snfs":
+        if spec(self.protocol).has_open_state_table:
             self.oracle.check_state_agreement(self.server, self.mounts)
         self.oracle.check_lost_acked_writes()
 
@@ -220,11 +172,7 @@ def run_sharing(
     invalidate-on-close — which is precisely the setup whose staleness
     window the paper's §2.1/§2.3 discussion targets.
     """
-    cfg = None
-    if protocol == "nfs":
-        cfg = NfsClientConfig(
-            getattr_on_open=False, invalidate_on_close=False, name_cache_ttl=30.0
-        )
+    cfg = era_nfs_config() if protocol == "nfs" else None
     bed = ResilienceBed(protocol, n_clients=2, seed=seed, client_config=cfg)
     path = "/data/shared.dat"
     bed.run(_write_record(bed.clients[0].kernel, path, 0, create=True))

@@ -21,12 +21,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..fs.types import OpenMode
-from ..host import Host, HostConfig
 from ..metrics import format_table
-from ..net import Network
-from ..nfs import NfsClient, NfsServer
-from ..sim import AllOf, Simulator
-from ..snfs import SnfsClient, SnfsServer
+from ..proto.registry import drive_all
+from .cluster import build_cluster
 
 __all__ = ["ScalingPoint", "run_scaling_point", "scaling_table"]
 
@@ -75,28 +72,8 @@ def run_scaling_point(
     file_blocks: int = 4,
 ) -> ScalingPoint:
     """One (protocol, N) measurement."""
-    sim = Simulator()
-    network = Network(sim)
-    server_host = Host(sim, network, "server", HostConfig.titan_server())
-    export = server_host.add_local_fs("/export", fsid="exportfs")
-    if protocol == "nfs":
-        NfsServer(server_host, export)
-        client_cls = NfsClient
-    elif protocol == "snfs":
-        SnfsServer(server_host, export, max_open_files=4000)
-        client_cls = SnfsClient
-    else:
-        raise ValueError(protocol)
-    server_host.update_daemon.start()
-
-    kernels = []
-    for i in range(n_clients):
-        host = Host(sim, network, "client%d" % i, HostConfig.titan_client())
-        client = client_cls("m%d" % i, host, "server")
-        _drive(sim, client.attach())
-        host.kernel.mount("/data", client)
-        host.update_daemon.start()
-        kernels.append(host.kernel)
+    bed = build_cluster(protocol, n_clients)
+    sim, server_host = bed.sim, bed.server_host
 
     cpu_before = server_host.cpu.busy_time()
     disk = next(iter(server_host.disks.values()))
@@ -112,14 +89,7 @@ def run_scaling_point(
         )
         finish_times.append(sim.now - t0)
 
-    procs = [sim.spawn(wrap(k, i)) for i, k in enumerate(kernels)]
-    gate = AllOf(sim, procs)
-    gate.defuse()
-    sim.run_until(gate, limit=1e6)
-    for proc in procs:
-        if proc.exception is not None:
-            proc.defuse()
-            raise proc.exception
+    drive_all(sim, [wrap(k, i) for i, k in enumerate(bed.kernels)], name="wrap")
 
     elapsed = sim.now - t0
     return ScalingPoint(
@@ -131,20 +101,6 @@ def run_scaling_point(
         server_disk_utilization=(disk.busy_time() - disk_before) / elapsed,
         total_rpcs=server_host.rpc.server_stats.total() - rpc_before,
     )
-
-
-def _drive(sim, gen):
-    box = {}
-
-    def wrapper():
-        box["v"] = yield from gen
-
-    proc = sim.spawn(wrapper())
-    sim.run_until(proc, limit=1e6)
-    if proc.exception is not None:
-        proc.defuse()
-        raise proc.exception
-    return box.get("v")
 
 
 def scaling_table(

@@ -25,16 +25,11 @@ from typing import Any, Dict, List, Optional
 
 from ..faults import ConsistencyOracle, FaultInjector
 from ..host import Host, HostConfig
-from ..kent import KentClient, KentServer
-from ..lease import LeaseClient, LeaseServer
 from ..net import Network, NetworkConfig
-from ..nfs import NfsClient, NfsClientConfig, NfsServer
+from ..proto.registry import drive, drive_all, make_mount, make_server, spec
 from ..proto.shard import ShardMap
-from ..rfs import RfsClient, RfsServer
 from ..sim import Simulator
-from ..snfs import SnfsClient, SnfsClientConfig, SnfsServer
 from ..vfs import MountTable, ShardedMount
-from .cluster import CLUSTER_PROTOCOLS, Testbed
 
 __all__ = ["ShardedBed", "build_sharded_cluster"]
 
@@ -68,38 +63,12 @@ class ShardedBed:
         return [ns.table.mounts()[shard] for ns in self.namespaces]
 
     def run(self, coro, limit: float = 1e7):
-        box = {}
-
-        def wrapper():
-            box["value"] = yield from coro
-
-        proc = self.sim.spawn(wrapper(), name="workload")
-        self.sim.run_until(proc, limit=limit)
-        if not proc.triggered:
-            raise TimeoutError("workload did not finish before %g" % limit)
-        if proc.exception is not None:
-            proc.defuse()
-            raise proc.exception
-        return box.get("value")
+        """Drive one coroutine to completion (daemons keep running)."""
+        return drive(self.sim, coro, limit, "workload")
 
     def run_all(self, *coros, limit: float = 1e7):
-        from ..sim import AllOf
-
-        procs = [self.sim.spawn(Testbed._wrap(c)) for c in coros]
-        gate = AllOf(self.sim, procs)
-        gate.defuse()
-        self.sim.run_until(gate, limit=limit)
-        out = []
-        for proc in procs:
-            if not proc.triggered:
-                raise TimeoutError(
-                    "sharded workload did not finish before %g" % limit
-                )
-            if proc.exception is not None:
-                proc.defuse()
-                raise proc.exception
-            out.append(proc.value)
-        return out
+        """Drive several coroutines concurrently to completion."""
+        return drive_all(self.sim, coros, limit)
 
     # -- failover helpers ---------------------------------------------------
 
@@ -132,26 +101,12 @@ class ShardedBed:
         for host in self.client_hosts:
             if not host.crashed:
                 self.run(host.kernel.sync())
-        if self.protocol == "snfs":
+        if spec(self.protocol).has_open_state_table:
             for shard, server in enumerate(self.servers):
                 self.oracle.check_state_agreement(
                     server, self.shard_mounts(shard)
                 )
         self.oracle.check_lost_acked_writes()
-
-
-def _make_shard_client(protocol, mount_id, host, server_addr, cfg, dnlc):
-    if protocol == "nfs":
-        return NfsClient(mount_id, host, server_addr, config=cfg, dnlc=dnlc)
-    if protocol == "snfs":
-        return SnfsClient(mount_id, host, server_addr, config=cfg, dnlc=dnlc)
-    if protocol == "rfs":
-        return RfsClient(mount_id, host, server_addr, config=cfg, dnlc=dnlc)
-    if protocol == "kent":
-        return KentClient(mount_id, host, server_addr, config=cfg, dnlc=dnlc)
-    if protocol == "lease":
-        return LeaseClient(mount_id, host, server_addr, config=cfg, dnlc=dnlc)
-    raise ValueError(protocol)
 
 
 def build_sharded_cluster(
@@ -179,11 +134,6 @@ def build_sharded_cluster(
     a :class:`FaultInjector` whose targets include every host, for
     failover experiments.
     """
-    if protocol not in CLUSTER_PROTOCOLS:
-        raise ValueError(
-            "sharded protocol must be one of %s, got %r"
-            % (", ".join(CLUSTER_PROTOCOLS), protocol)
-        )
     shard_map = ShardMap(n_shards, strategy=strategy, assignments=assignments)
     sim = Simulator()
     net_cfg = network_config or NetworkConfig()
@@ -195,7 +145,6 @@ def build_sharded_cluster(
         max_open_files = max(4000, 64 * n_clients)
     server_hosts: List[Host] = []
     servers: List[Any] = []
-    default_cfg = None
     for k in range(n_shards):
         shost = Host(
             sim,
@@ -205,22 +154,10 @@ def build_sharded_cluster(
             seed=None if seed is None else seed + 1000 + k,
         )
         export = shost.add_local_fs("/export", fsid="exportfs%d" % k)
-        if protocol == "nfs":
-            server = NfsServer(shost, export)
-            default_cfg = NfsClientConfig()
-        elif protocol == "snfs":
-            server = SnfsServer(shost, export, max_open_files=max_open_files)
-            default_cfg = SnfsClientConfig()
-        elif protocol == "rfs":
-            server = RfsServer(shost, export)
-        elif protocol == "kent":
-            server = KentServer(shost, export)
-        else:
-            server = LeaseServer(shost, export)
+        server = make_server(protocol, shost, export, max_open_files)
         shost.update_daemon.start()
         server_hosts.append(shost)
         servers.append(server)
-    cfg = client_config if client_config is not None else default_cfg
 
     bed = ShardedBed(
         sim=sim,
@@ -242,12 +179,12 @@ def build_sharded_cluster(
         mounts = []
         dnlc = None  # first shard mount creates it; the rest share it
         for k in range(n_shards):
-            client = _make_shard_client(
+            client = make_mount(
                 protocol, "%s:m%ds%d" % (protocol, i, k),
-                host, "server%d" % k, cfg, dnlc,
+                host, "server%d" % k, client_config, dnlc,
             )
             dnlc = client.dnlc
-            _drive(sim, client.attach())
+            drive(sim, client.attach())
             mounts.append(client)
         ns = ShardedMount(
             "%s:shardns%d" % (protocol, i), MountTable(shard_map, mounts)
@@ -274,16 +211,3 @@ def build_sharded_cluster(
         )
     return bed
 
-
-def _drive(sim, gen, limit: float = 1e6):
-    box = {}
-
-    def wrapper():
-        box["v"] = yield from gen
-
-    proc = sim.spawn(wrapper())
-    sim.run_until(proc, limit=limit)
-    if proc.exception is not None:
-        proc.defuse()
-        raise proc.exception
-    return box.get("v")

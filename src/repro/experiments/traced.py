@@ -33,9 +33,8 @@ from typing import Any, List, Optional
 from ..fs.types import OpenMode
 from ..host import Host, HostConfig
 from ..net import Network, NetworkConfig
-from ..nfs import NfsClient, NfsServer
+from ..proto.registry import drive, make_mount, make_server
 from ..sim import Simulator
-from ..snfs import SnfsClient, SnfsServer
 from ..workloads import AndrewBenchmark, AndrewConfig, make_tree
 
 __all__ = ["TracedRun", "run_traced_andrew", "small_tree"]
@@ -65,22 +64,6 @@ class TracedRun:
     server_host: Any = None  # the server Host (RPC/disk counters)
 
 
-def _drive(sim: Simulator, gen, limit: float = 1e7):
-    box = {}
-
-    def wrapper():
-        box["v"] = yield from gen
-
-    proc = sim.spawn(wrapper(), name="workload")
-    sim.run_until(proc, limit=limit)
-    if not proc.triggered:
-        raise TimeoutError("traced workload did not finish before %g" % limit)
-    if proc.exception is not None:
-        proc.defuse()
-        raise proc.exception
-    return box.get("v")
-
-
 def run_traced_andrew(
     protocol: str = "snfs",
     seed: int = 1989,
@@ -97,8 +80,6 @@ def run_traced_andrew(
     time the bare stack (the simulated behavior is byte-identical
     either way, which the determinism tests assert).
     """
-    if protocol not in ("nfs", "snfs"):
-        raise ValueError("traced run supports nfs/snfs, not %r" % protocol)
     sim = Simulator()
     if trace:
         # REPRO_TRACE=1 may already have enabled these in __init__
@@ -113,19 +94,14 @@ def run_traced_andrew(
     network = Network(sim, NetworkConfig(drop_rate=drop_rate, seed=seed))
     server_host = Host(sim, network, "server", HostConfig.titan_server())
     export = server_host.add_local_fs("/export", fsid="exportfs")
-    if protocol == "nfs":
-        NfsServer(server_host, export)
-        client_cls = NfsClient
-    else:
-        SnfsServer(server_host, export, max_open_files=4000)
-        client_cls = SnfsClient
+    make_server(protocol, server_host, export, max_open_files=4000)
     server_host.update_daemon.start()
 
     kernels = []
     for i in range(2):
         host = Host(sim, network, "client%d" % i, HostConfig.titan_client())
-        mount = client_cls("m%d" % i, host, "server")
-        _drive(sim, mount.attach())
+        mount = make_mount(protocol, "m%d" % i, host, "server")
+        drive(sim, mount.attach(), name="workload")
         host.kernel.mount("/data", mount)
         host.add_local_fs("/tmp", fsid="tmpfs%d" % i, disk_name="tmpdisk")
         host.update_daemon.start()
@@ -144,8 +120,8 @@ def run_traced_andrew(
         yield from kernels[0].mkdir("/data/src")
         yield from bench.populate_source()
 
-    _drive(sim, setup())
-    result = _drive(sim, bench.run())
+    drive(sim, setup(), name="workload")
+    result = drive(sim, bench.run(), name="workload")
 
     # Epilogue: before the writer's 30-second delayed writes age out,
     # the second client reads the linked binary.  Under SNFS the server
@@ -163,7 +139,7 @@ def run_traced_andrew(
         finally:
             yield from kernel.close(fd)
 
-    _drive(sim, epilogue(kernels[1]))
+    drive(sim, epilogue(kernels[1]), name="workload")
 
     return TracedRun(
         protocol=protocol,

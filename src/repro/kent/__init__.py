@@ -1,6 +1,6 @@
 """Kent's block-granularity consistency scheme (§2.5 related work)."""
 
-from .client import KentClient, mount_kent
+from .client import KentClient
 from .server import BlockToken, KPROC, KentServer
 
-__all__ = ["KentServer", "KentClient", "mount_kent", "KPROC", "BlockToken"]
+__all__ = ["KentServer", "KentClient", "KPROC", "BlockToken"]

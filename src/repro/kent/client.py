@@ -13,12 +13,11 @@ from typing import Dict, Hashable, Tuple
 
 from ..fs import NoSuchFile, StaleHandle
 from ..fs.types import FileAttr, FileHandle, OpenMode
-from ..host import Host
 from ..proto import ConsistencyPolicy, RemoteFsClient, RemoteFsConfig
 from ..vfs import Gnode, block_range, merge_block
 from .server import KPROC
 
-__all__ = ["KentClient", "KentPolicy", "mount_kent"]
+__all__ = ["KentClient", "KentPolicy"]
 
 
 class KentPolicy(ConsistencyPolicy):
@@ -208,11 +207,3 @@ class KentClient(RemoteFsClient):
     def _tokens(self):
         return self.policy._tokens
 
-
-def mount_kent(host: Host, server_addr: str, mount_point: str, mount_id=None):
-    """Coroutine: create, attach, and mount a Kent-scheme filesystem."""
-    mount_id = mount_id or "kent:%s:%s%s" % (host.name, server_addr, mount_point)
-    client = KentClient(mount_id, host, server_addr)
-    yield from client.attach()
-    host.kernel.mount(mount_point, client)
-    return client

@@ -5,7 +5,7 @@ server-driven recall and renewal piggybacked on getattr, written as
 one policy class plus one server subclass — no changes to the core.
 """
 
-from .client import LeaseClient, LeasePolicy, mount_lease
+from .client import LeaseClient, LeasePolicy
 from .server import DEFAULT_LEASE_TERM, LPROC, LeaseServer
 
 __all__ = [
@@ -14,5 +14,4 @@ __all__ = [
     "LeaseClient",
     "LeasePolicy",
     "LeaseServer",
-    "mount_lease",
 ]

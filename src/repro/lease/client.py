@@ -19,12 +19,11 @@ from typing import Optional
 
 from ..fs import NoSuchFile, StaleHandle
 from ..fs.types import FileAttr, FileHandle, OpenMode
-from ..host import Host
 from ..proto import ConsistencyPolicy, RemoteFsClient, RemoteFsConfig
 from ..vfs import Gnode
 from .server import LPROC
 
-__all__ = ["LeaseClient", "LeasePolicy", "mount_lease"]
+__all__ = ["LeaseClient", "LeasePolicy"]
 
 
 class LeasePolicy(ConsistencyPolicy):
@@ -226,17 +225,3 @@ class LeaseClient(RemoteFsClient):
         # attribute probing (the lease is the freshness window)
         return RemoteFsConfig(invalidate_on_close=False)
 
-
-def mount_lease(
-    host: Host,
-    server_addr: str,
-    mount_point: str,
-    config: Optional[RemoteFsConfig] = None,
-    mount_id: Optional[str] = None,
-):
-    """Coroutine: create, attach, and mount a lease-protocol filesystem."""
-    mount_id = mount_id or "lease:%s:%s%s" % (host.name, server_addr, mount_point)
-    client = LeaseClient(mount_id, host, server_addr, config=config)
-    yield from client.attach()
-    host.kernel.mount(mount_point, client)
-    return client

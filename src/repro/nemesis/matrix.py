@@ -33,7 +33,8 @@ from typing import Dict, List, Optional, Tuple
 from ..experiments.resilience import ResilienceBed
 from ..faults import FaultPlan
 from ..metrics import format_table
-from ..nfs import NfsClientConfig
+from ..nfs import era_nfs_config
+from ..proto.registry import NAMES
 from .plans import NEMESIS_PLANS, plan_events
 from .workloads import NEMESIS_WORKLOADS, run_workload
 
@@ -53,7 +54,7 @@ __all__ = [
 
 NEMESIS_SCHEMA = "repro-nemesis/1"
 
-ALL_PROTOCOLS = ("nfs", "snfs", "rfs", "kent", "lease")
+ALL_PROTOCOLS = NAMES
 
 #: violation kinds documented as allowed per protocol, always
 _ALLOWED_ALWAYS: Dict[str, frozenset] = {
@@ -152,13 +153,9 @@ def run_cell(protocol: str, workload: str, plan: str, seed: int) -> NemesisCell:
         seed=cseed, verdict="fail", allowed=sorted(allowed),
     )
 
-    cfg = None
-    if protocol == "nfs":
-        # the era-accurate consistency configuration whose staleness
-        # window §2.1/§2.3 argue against — the matrix documents it
-        cfg = NfsClientConfig(
-            getattr_on_open=False, invalidate_on_close=False, name_cache_ttl=30.0
-        )
+    # NFS runs the era-accurate configuration whose staleness window
+    # §2.1/§2.3 argue against — the matrix documents it
+    cfg = era_nfs_config() if protocol == "nfs" else None
     try:
         bed = ResilienceBed(protocol, n_clients=2, seed=cseed, client_config=cfg)
         metrics = bed.sim.enable_metrics()

@@ -1,6 +1,6 @@
 """NFS: the stateless baseline protocol (client and server)."""
 
-from .client import NfsClient, NfsClientConfig, mount_nfs
+from .client import NfsClient, NfsClientConfig, era_nfs_config
 from .protocol import DATA_TRANSFER_OPS, PROC, classify_ops, proc_basename
 from .server import NfsServer
 
@@ -8,7 +8,7 @@ __all__ = [
     "NfsServer",
     "NfsClient",
     "NfsClientConfig",
-    "mount_nfs",
+    "era_nfs_config",
     "PROC",
     "classify_ops",
     "proc_basename",

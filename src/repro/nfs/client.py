@@ -26,18 +26,25 @@ which is why roughly half of all RPCs in Table 5-2 are lookups.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..host import Host
 from ..proto import ConsistencyPolicy, RemoteFsClient, RemoteFsConfig
 from ..vfs import Gnode
 from .protocol import PROC
 
-__all__ = ["NfsClient", "NfsClientConfig", "NfsPolicy", "mount_nfs"]
+__all__ = ["NfsClient", "NfsClientConfig", "NfsPolicy", "era_nfs_config"]
 
 #: unified layered config (see repro.proto.config); kept as an alias
 #: so call sites and experiments keep reading naturally
 NfsClientConfig = RemoteFsConfig
+
+
+def era_nfs_config() -> NfsClientConfig:
+    """A fresh era-accurate NFS client configuration: the attribute
+    cache answers opens (no forced getattr), closes keep the cache, and
+    name translations live 30 s — the staleness window §2.1/§2.3 argue
+    against.  Fresh per call because mounts read their config live."""
+    return NfsClientConfig(
+        getattr_on_open=False, invalidate_on_close=False, name_cache_ttl=30.0
+    )
 
 
 class NfsPolicy(ConsistencyPolicy):
@@ -108,17 +115,3 @@ class NfsClient(RemoteFsClient):
     PROC = PROC
     policy_class = NfsPolicy
 
-
-def mount_nfs(
-    host: Host,
-    server_addr: str,
-    mount_point: str,
-    config: Optional[NfsClientConfig] = None,
-    mount_id: Optional[str] = None,
-):
-    """Coroutine: create, attach, and mount an NFS client filesystem."""
-    mount_id = mount_id or "nfs:%s:%s%s" % (host.name, server_addr, mount_point)
-    client = NfsClient(mount_id, host, server_addr, config=config)
-    yield from client.attach()
-    host.kernel.mount(mount_point, client)
-    return client

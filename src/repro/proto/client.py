@@ -68,16 +68,6 @@ class RemoteFsClient(FileSystemType):
     def default_config(cls) -> RemoteFsConfig:
         return RemoteFsConfig()
 
-    # -- compatibility views over the shared DNLC ---------------------------
-
-    @property
-    def _name_cache(self):
-        return self.dnlc._entries
-
-    @property
-    def _dir_index(self):
-        return self.dnlc._dir_index
-
     # -- server-push service (one dispatcher per host and protocol) ---------
 
     def _register_push_service(self) -> None:

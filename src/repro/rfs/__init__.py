@@ -1,6 +1,6 @@
 """RFS-style baseline: write-through with server-pushed invalidations."""
 
-from .client import RfsClient, mount_rfs
+from .client import RfsClient
 from .server import RPROC, RfsServer
 
-__all__ = ["RfsServer", "RfsClient", "mount_rfs", "RPROC"]
+__all__ = ["RfsServer", "RfsClient", "RPROC"]

@@ -10,16 +10,17 @@ to NFS" performance is what the ablation benchmarks verify.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional
 
 from ..fs.types import FileHandle, OpenMode
 from ..host import Host
-from ..nfs.client import NfsClientConfig, NfsPolicy
+from ..nfs.client import NfsPolicy
 from ..proto import RemoteFsClient, RemoteFsConfig
 from ..vfs import Gnode
 from .server import RPROC
 
-__all__ = ["RfsClient", "RfsPolicy", "mount_rfs"]
+__all__ = ["RfsClient", "RfsPolicy"]
 
 
 class RfsPolicy(NfsPolicy):
@@ -102,26 +103,14 @@ class RfsClient(RemoteFsClient):
         mount_id: str,
         host: Host,
         server_addr: str,
-        config: Optional[NfsClientConfig] = None,
+        config: Optional[RemoteFsConfig] = None,
         dnlc=None,
     ):
         # the invalidate-on-close bug is an Ultrix NFS artifact; RFS
-        # keeps its cache (consistency comes from invalidations)
-        config = config or RemoteFsConfig(invalidate_on_close=False)
-        config.invalidate_on_close = False
+        # keeps its cache (consistency comes from invalidations).  A
+        # copy: an NFS mount sharing the caller's config keeps the bug
+        config = dataclasses.replace(
+            config or RemoteFsConfig(), invalidate_on_close=False
+        )
         super().__init__(mount_id, host, server_addr, config=config, dnlc=dnlc)
 
-
-def mount_rfs(
-    host: Host,
-    server_addr: str,
-    mount_point: str,
-    config: Optional[NfsClientConfig] = None,
-    mount_id: Optional[str] = None,
-):
-    """Coroutine: create, attach, and mount an RFS client filesystem."""
-    mount_id = mount_id or "rfs:%s:%s%s" % (host.name, server_addr, mount_point)
-    client = RfsClient(mount_id, host, server_addr, config=config)
-    yield from client.attach()
-    host.kernel.mount(mount_point, client)
-    return client

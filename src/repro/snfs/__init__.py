@@ -1,6 +1,6 @@
 """Spritely NFS: the paper's contribution — NFS with Sprite consistency."""
 
-from .client import SnfsClient, SnfsClientConfig, mount_snfs
+from .client import SnfsClient, SnfsClientConfig
 from .hybrid import HybridServer
 from .protocol import SPROC
 from .recovery import ServerRecovering
@@ -20,7 +20,6 @@ __all__ = [
     "ServerRecovering",
     "SnfsClient",
     "SnfsClientConfig",
-    "mount_snfs",
     "SPROC",
     "OpenReply",
     "StateTable",

@@ -33,7 +33,6 @@ from typing import List, Optional
 
 from ..fs import NoSuchFile, StaleHandle
 from ..fs.types import FileAttr, FileHandle, OpenMode
-from ..host import Host
 from ..proto import ConsistencyPolicy, RemoteFsClient, RemoteFsConfig
 from ..sim import Interrupt
 from ..vfs import Gnode
@@ -41,7 +40,7 @@ from .protocol import SPROC
 from .recovery import ReopenRejected, ServerRecovering
 from .server import OpenReply
 
-__all__ = ["SnfsClient", "SnfsClientConfig", "SnfsPolicy", "mount_snfs"]
+__all__ = ["SnfsClient", "SnfsClientConfig", "SnfsPolicy"]
 
 #: unified layered config (see repro.proto.config); kept as an alias
 SnfsClientConfig = RemoteFsConfig
@@ -409,29 +408,3 @@ class SnfsClient(RemoteFsClient):
     PROC = SPROC
     policy_class = SnfsPolicy
 
-    # compatibility delegations for callers that predate the policy split
-
-    def serve_callback(self, fh: FileHandle, writeback: bool, invalidate: bool):
-        result = yield from self.policy.serve_callback(fh, writeback, invalidate)
-        return result
-
-    def purge_dir_names(self, dirfh: FileHandle) -> None:
-        self.dnlc.purge_dir(dirfh.key())
-
-    def open_state_report(self):
-        return self.policy.open_state_report()
-
-
-def mount_snfs(
-    host: Host,
-    server_addr: str,
-    mount_point: str,
-    config: Optional[SnfsClientConfig] = None,
-    mount_id: Optional[str] = None,
-):
-    """Coroutine: create, attach, and mount an SNFS client filesystem."""
-    mount_id = mount_id or "snfs:%s:%s%s" % (host.name, server_addr, mount_point)
-    client = SnfsClient(mount_id, host, server_addr, config=config)
-    yield from client.attach()
-    host.kernel.mount(mount_point, client)
-    return client

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.proto.registry import drive, drive_all, make_mount
 from repro.sim import Simulator
 
 
@@ -13,43 +14,20 @@ class SimRunner:
 
     def run(self, gen, limit=100000.0):
         """Run one coroutine to completion; return its value or re-raise."""
-        box = {}
-
-        def wrapper():
-            box["value"] = yield from gen
-
-        proc = self.sim.spawn(wrapper())
-        self.sim.run_until(proc, limit=limit)
-        if not proc.triggered:
-            raise TimeoutError("coroutine did not finish before limit")
-        if proc.exception is not None:
-            proc.defuse()  # its dispatch may still be queued
-            raise proc.exception
-        return box.get("value")
+        return drive(self.sim, gen, limit)
 
     def run_all(self, *gens, limit=100000.0):
         """Run several coroutines concurrently; returns their values."""
-        procs = [self.sim.spawn(self._wrap(g)) for g in gens]
-        from repro.sim import AllOf
+        return drive_all(self.sim, gens, limit)
 
-        gate = AllOf(self.sim, procs)
-        gate.defuse()
-        self.sim.run_until(gate, limit=limit)
-        values = []
-        for proc in procs:
-            if proc.exception is not None:
-                proc.defuse()
-                raise proc.exception
-            values.append(proc.value)
-        return values
-
-    @staticmethod
-    def _wrap(gen):
-        def wrapper():
-            result = yield from gen
-            return result
-
-        return wrapper()
+    def mount(self, protocol, host, server_addr, mount_point):
+        """Attach a ``protocol`` mount of ``server_addr`` on ``host`` at
+        ``mount_point``; returns the mount."""
+        mount_id = "%s:%s:%s%s" % (protocol, host.name, server_addr, mount_point)
+        mount = make_mount(protocol, mount_id, host, server_addr)
+        self.run(mount.attach())
+        host.kernel.mount(mount_point, mount)
+        return mount
 
 
 @pytest.fixture

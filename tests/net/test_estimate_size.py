@@ -9,8 +9,8 @@ import pytest
 from repro.fs import FileAttr, FileHandle, FileType, OpenMode
 from repro.host import Host, HostConfig
 from repro.net import Network, NetworkConfig, rpc
+from repro.proto.registry import NAMES, make_server
 from repro.snfs.server import OpenReply
-from tests.proto.test_contract import STACKS
 
 
 def reflective_size(obj):
@@ -63,16 +63,16 @@ def payloads():
     rpc.estimate_size = recording
     try:
         network = Network(sim, NetworkConfig(seed=5))
-        for proto, (server_cls, _) in STACKS.items():
+        for proto in NAMES:
             host = Host(sim, network, "srv-" + proto, HostConfig.titan_server())
-            server_cls(host, host.add_local_fs("/export", fsid=proto))
+            make_server(proto, host, host.add_local_fs("/export", fsid=proto))
         clients = [
             Host(sim, network, "c%d" % i, HostConfig.titan_client()) for i in range(2)
         ]
         for host in clients:
-            for proto, (_, mount) in STACKS.items():
-                runner.run(mount(host, "srv-" + proto, "/" + proto))
-        for proto in STACKS:
+            for proto in NAMES:
+                runner.mount(proto, host, "srv-" + proto, "/" + proto)
+        for proto in NAMES:
             runner.run(_session(clients[0].kernel, "/" + proto, clients[1].kernel))
     finally:
         rpc.estimate_size = original

@@ -88,3 +88,29 @@ def test_one_config_drives_any_protocol(runner):
     runner.run(snfs.attach())
     assert nfs.config is cfg and snfs.config is cfg
     assert nfs.dnlc.enabled and snfs.dnlc.enabled
+
+
+def test_rfs_copies_the_callers_config(runner):
+    """A config shared with an NFS mount keeps the invalidate-on-close
+    bug: RFS turns it off in its own copy, not in the caller's object."""
+    from repro.host import Host, HostConfig
+    from repro.net import Network
+    from repro.rfs import RfsClient
+
+    cfg = RemoteFsConfig(name_cache_ttl=30.0)
+    host = Host(runner.sim, Network(runner.sim), "c", HostConfig.titan_client())
+    client = RfsClient("m", host, "server", config=cfg)
+    assert cfg.invalidate_on_close
+    assert client.config is not cfg
+    assert not client.config.invalidate_on_close
+    assert client.config.name_cache_ttl == 30.0
+
+
+def test_era_nfs_config_is_fresh_per_call():
+    """Mounts read their config live, so each caller gets its own."""
+    from repro.nfs import era_nfs_config
+
+    a, b = era_nfs_config(), era_nfs_config()
+    assert a is not b and a == b
+    assert not a.getattr_on_open and not a.invalidate_on_close
+    assert a.name_cache_ttl == 30.0

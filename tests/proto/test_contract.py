@@ -20,22 +20,11 @@ import pytest
 from repro.faults import ConsistencyOracle
 from repro.fs import OpenMode
 from repro.host import Host, HostConfig
-from repro.kent import KentServer, mount_kent
-from repro.lease import LeaseServer, mount_lease
 from repro.net import Network, NetworkConfig
-from repro.nfs import NfsServer, mount_nfs
-from repro.rfs import RfsServer, mount_rfs
-from repro.snfs import SnfsServer, mount_snfs
+from repro.proto.registry import NAMES, make_server
 from repro.workloads import run_sharing_experiment
 
-STACKS = {
-    "nfs": (NfsServer, mount_nfs),
-    "snfs": (SnfsServer, mount_snfs),
-    "rfs": (RfsServer, mount_rfs),
-    "kent": (KentServer, mount_kent),
-    "lease": (LeaseServer, mount_lease),
-}
-PROTOCOLS = tuple(sorted(STACKS))
+PROTOCOLS = tuple(sorted(NAMES))
 STRONG = tuple(p for p in PROTOCOLS if p != "nfs")
 
 
@@ -50,19 +39,17 @@ class World:
         self.server_hosts = {}
         self.oracle = ConsistencyOracle()
         for proto in PROTOCOLS:
-            server_cls, _ = STACKS[proto]
             host = Host(sim, self.network, "srv-%s" % proto,
                         HostConfig.titan_server())
             export = host.add_local_fs("/export", fsid="%s-fs" % proto)
-            self.servers[proto] = server_cls(host, export)
+            self.servers[proto] = make_server(proto, host, export)
             self.server_hosts[proto] = host
             self.oracle.watch_server(self.servers[proto])
         self.clients = []
         for i in range(2):
             host = Host(sim, self.network, "c%d" % i, HostConfig.titan_client())
             for proto in PROTOCOLS:
-                _, mount = STACKS[proto]
-                runner.run(mount(host, "srv-%s" % proto, "/%s" % proto))
+                runner.mount(proto, host, "srv-%s" % proto, "/%s" % proto)
             self.oracle.watch_kernel(host.kernel)
             self.clients.append(host)
 

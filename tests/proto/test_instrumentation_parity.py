@@ -12,28 +12,10 @@ import pytest
 from repro.faults import FaultInjector, FaultPlan, LossBurst
 from repro.fs import OpenMode
 from repro.host import Host, HostConfig
-from repro.kent import KentServer, mount_kent
-from repro.lease import LeaseServer, mount_lease
 from repro.net import Network, NetworkConfig
-from repro.nfs import NfsServer, mount_nfs
-from repro.rfs import RfsServer, mount_rfs
-from repro.snfs import SnfsServer, mount_snfs
+from repro.proto.registry import NAMES, make_server
 
-SERVERS = {
-    "nfs": NfsServer,
-    "snfs": SnfsServer,
-    "rfs": RfsServer,
-    "kent": KentServer,
-    "lease": LeaseServer,
-}
-MOUNTS = {
-    "nfs": mount_nfs,
-    "snfs": mount_snfs,
-    "rfs": mount_rfs,
-    "kent": mount_kent,
-    "lease": mount_lease,
-}
-PROTOCOLS = sorted(SERVERS)
+PROTOCOLS = sorted(NAMES)
 
 
 def _parse_labels(key):
@@ -48,9 +30,9 @@ def build(runner, protocol, seed=3):
     net = Network(sim, NetworkConfig(seed=seed))
     server_host = Host(sim, net, "server", HostConfig.titan_server())
     export = server_host.add_local_fs("/export", fsid="exportfs")
-    SERVERS[protocol](server_host, export)
+    make_server(protocol, server_host, export)
     client_host = Host(sim, net, "c0", HostConfig.titan_client())
-    runner.run(MOUNTS[protocol](client_host, "server", "/data"))
+    runner.mount(protocol, client_host, "server", "/data")
     return metrics, tracer, net, client_host
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from repro.fs import OpenMode
 from repro.host import Host, HostConfig
-from repro.lease import DEFAULT_LEASE_TERM, LeaseServer, mount_lease
+from repro.lease import DEFAULT_LEASE_TERM, LeaseServer
 from repro.net import Network
 
 
@@ -27,7 +27,7 @@ class LeaseWorld:
         self.mounts = []
         for i in range(n_clients):
             host = Host(sim, self.network, "client%d" % i, HostConfig.titan_client())
-            mount = runner.run(mount_lease(host, "server", "/data"))
+            mount = runner.mount("lease", host, "server", "/data")
             self.clients.append(host)
             self.mounts.append(mount)
 

@@ -113,7 +113,7 @@ def test_dir_cache_cleared_by_server_recovery(runner, world):
         # next access triggers recovery; the name cache must be dropped
         # (the rebooted server no longer knows we cache translations)
         data = yield from read_file(k, "/data/f")
-        return data, len(world.mount._name_cache)
+        return data, len(world.mount.dnlc)
 
     data, cache_size_probe = runner.run(scenario(), limit=10000.0)
     assert data == b"x"
