@@ -70,7 +70,6 @@ def run_traced_andrew(
     drop_rate: float = 0.0,
     tree=None,
     bench_config: Optional[AndrewConfig] = None,
-    trace_resumes: bool = False,
     trace: bool = True,
 ) -> TracedRun:
     """Run the small Andrew benchmark traced, on a two-client cluster.
@@ -82,14 +81,11 @@ def run_traced_andrew(
     """
     sim = Simulator()
     if trace:
-        # REPRO_TRACE=1 may already have enabled these in __init__
-        tracer = sim.tracer if sim.tracer is not None else sim.enable_tracer(trace_resumes)
-        metrics = sim.metrics if sim.metrics is not None else sim.enable_metrics()
+        sim.enable_tracer()
+        sim.enable_metrics()
         # latency attribution rides along: the collector adds no events
         # or processes, so trace digests are unchanged by it
         sim.enable_obs()
-    else:
-        tracer, metrics = sim.tracer, sim.metrics
 
     network = Network(sim, NetworkConfig(drop_rate=drop_rate, seed=seed))
     server_host = Host(sim, network, "server", HostConfig.titan_server())
@@ -145,8 +141,8 @@ def run_traced_andrew(
         protocol=protocol,
         seed=seed,
         sim=sim,
-        tracer=tracer,
-        metrics=metrics,
+        tracer=sim.tracer,
+        metrics=sim.metrics,
         result=result,
         epilogue_bytes=read_bytes[0],
         server_host=server_host,

@@ -156,12 +156,8 @@ class FaultInjector:
 
     def _note(self, what: str, kind: str = "fault") -> None:
         self.log.append((self.sim.now, what))
-        if self.sim.metrics is not None:
-            self.sim.metrics.counter("faults.events").inc(kind=kind)
-        if self.trace and self.sim.tracer is not None:
-            self.sim.tracer.instant(
-                "fault.%s" % kind, cat="faults", track="faults", what=what
-            )
+        if self.sim.probe is not None:
+            self.sim.probe.fault(kind, what, self.trace)
 
     # -- one timed process per event kind ---------------------------------
 

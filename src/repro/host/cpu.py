@@ -34,17 +34,18 @@ class Cpu:
             return
         yield self._proc.acquire()
         span = None
-        if self.sim.tracer is not None:
-            span = self.sim.tracer.begin(
-                "cpu.busy", cat="cpu", track=self.name, seconds=seconds
+        if self.sim.probe is not None:
+            span = self.sim.probe.span_begin(
+                "cpu.busy", "cpu", self.name, seconds=seconds
             )
         try:
             yield self.sim.timeout(seconds / self.speed)
-            if self.sim.obs is not None:
-                self.sim.obs.add("cpu.service", seconds / self.speed)
+            if self.sim.probe is not None:
+                self.sim.probe.service("cpu.service", seconds / self.speed, span)
+                span = None
         finally:
-            if span is not None:
-                self.sim.tracer.end(span)
+            if span is not None:  # torn down mid-burst: close the span only
+                self.sim.probe.span_end(span)
             self._proc.release()
 
     def busy_time(self) -> float:

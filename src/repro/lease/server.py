@@ -122,9 +122,9 @@ class LeaseServer(RemoteFsServer):
         # lets pre-crash write-lease holders land their delayed data
         # before anyone else can open the files
         self._recovering_until = self.sim.now + self.lease_term + self.write_slack
-        if self.sim.tracer is not None:
-            self.sim.tracer.instant(
-                "lease.recovery", cat="lease", track=self.host.name,
+        if self.sim.probe is not None:
+            self.sim.probe.instant(
+                "lease.recovery", "lease", self.host.name,
                 epoch=self.boot_epoch, until=self._recovering_until,
             )
 
@@ -138,9 +138,9 @@ class LeaseServer(RemoteFsServer):
         misses, while nobody new can acquire a conflicting claim.
         """
         if self.in_recovery:
-            if self.sim.metrics is not None:
-                self.sim.metrics.counter("recovery.rejections").inc(
-                    server=self.host.name, proto="lease"
+            if self.sim.probe is not None:
+                self.sim.probe.count(
+                    "recovery.rejections", server=self.host.name, proto="lease"
                 )
             raise ServerRecovering(
                 self.boot_epoch,

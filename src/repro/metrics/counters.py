@@ -92,37 +92,10 @@ class Counters:
         pairs.sort()
         return pairs
 
-    def rate_series(
-        self, name: str, bucket: float, t_end: Optional[float] = None
-    ) -> List[Tuple[float, float]]:
-        """Events-per-second for ``name`` in fixed buckets.
-
-        Returns (bucket_start_time, rate) pairs covering [0, t_end); if
-        ``t_end`` is None, the last event's time is used.
-        """
-        ts = self.times(name)
-        if t_end is None:
-            t_end = max(ts) + bucket if ts else 0.0
-        n_buckets = max(1, int(t_end / bucket + 0.999999))
-        counts = [0] * n_buckets
-        for t in ts:
-            idx = min(int(t / bucket), n_buckets - 1)
-            counts[idx] += 1
-        return [(i * bucket, c / bucket) for i, c in enumerate(counts)]
-
     def reset(self) -> None:
         self._totals.clear()
         if self._times is not None:
             self._times.clear()
-
-    def snapshot_diff(self, earlier: Dict[str, int]) -> Dict[str, int]:
-        """Totals minus an earlier ``as_dict()`` snapshot."""
-        out = {}
-        for name, value in self._totals.items():
-            delta = value - earlier.get(name, 0)
-            if delta:
-                out[name] = delta
-        return out
 
     def __repr__(self) -> str:
         parts = ", ".join("%s=%d" % (k, v) for k, v in sorted(self._totals.items()))

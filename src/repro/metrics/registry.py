@@ -1,9 +1,8 @@
 """A unified registry of named, labeled instruments.
 
-The older measurement layer grew one ad-hoc :class:`Counters` object
-per component (``endpoint.client_stats``, ``disk.stats`` ...), and
-experiments hand-merged their dicts to build tables.  The registry
-gives the stack one namespace of instruments:
+The always-on per-component :class:`Counters` (``disk.stats`` ...)
+build the paper's tables.  The registry is the opt-in namespace of
+labeled instruments the instrumented layers feed through ``sim.probe``:
 
 * :class:`Counter` — monotonically increasing count (``rpc.retrans``);
 * :class:`Gauge` — last-set value (``cache.dirty_buffers``);
@@ -203,26 +202,6 @@ class MetricsRegistry:
 
     def names(self) -> List[str]:
         return sorted(self._instruments)
-
-    # -- bridging the legacy per-component objects -------------------------
-
-    def absorb_counters(self, name: str, counters, **labels) -> Counter:
-        """Fold a legacy :class:`repro.metrics.Counters` into ``name``,
-        one label set per counter key (``op=<key>`` plus ``labels``)."""
-        inst = self.counter(name)
-        for op, value in sorted(counters.as_dict().items()):
-            inst.inc(value, op=op, **labels)
-        return inst
-
-    def absorb_series(self, name: str, series, **labels) -> Histogram:
-        """Fold a legacy :class:`TimeSeries`' values into a histogram
-        (unit-interval buckets suit utilization fractions)."""
-        inst = self.histogram(
-            name, buckets=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
-        )
-        for _, value in series.points:
-            inst.observe(value, **labels)
-        return inst
 
     def as_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {}

@@ -141,9 +141,7 @@ class UtilizationSampler:
                 # don't hide the accounting bug: count it and surface it
                 # in the obs report / sampler.clamped metric
                 self.clamps += 1
-                if self.sim.metrics is not None:
-                    self.sim.metrics.counter("sampler.clamped").inc(
-                        name=self.series.name
-                    )
+                if self.sim.probe is not None:
+                    self.sim.probe.count("sampler.clamped", name=self.series.name)
             self.series.append(self.sim.now, min(1.0, max(0.0, frac)))
             self._last_busy = busy  # lint: ok=ATOM002 — the spawned sampler is the sole process touching _last_busy

@@ -106,17 +106,12 @@ class Interface:
         self.network._transmit(Packet(self.address, dst, port, payload, size))
 
     def _deliver(self, packet: Packet) -> None:
-        tracer = self.sim.tracer
         if not self.up:
-            if tracer is not None:
-                tracer.instant(
-                    "net.drop", cat="net", track="net", reason="host-down",
-                    src=packet.src, dst=packet.dst, kind=_payload_kind(packet.payload),
-                )
+            self.network._drop_event(packet, "host-down")
             return  # host is down: packet lost
-        if tracer is not None:
-            tracer.instant(
-                "net.recv", cat="net", track="net",
+        if self.sim.probe is not None:
+            self.sim.probe.instant(
+                "net.recv", "net", "net",
                 src=packet.src, dst=packet.dst, size=packet.size,
                 kind=_payload_kind(packet.payload),
             )
@@ -208,9 +203,9 @@ class Network:
         return iface
 
     def _drop_event(self, packet: Packet, reason: str) -> None:
-        if self.sim.tracer is not None:
-            self.sim.tracer.instant(
-                "net.drop", cat="net", track="net", reason=reason,
+        if self.sim.probe is not None:
+            self.sim.probe.instant(
+                "net.drop", "net", "net", reason=reason,
                 src=packet.src, dst=packet.dst, kind=_payload_kind(packet.payload),
             )
 
@@ -236,9 +231,9 @@ class Network:
             self.stats.record("unroutable")
             self._drop_event(packet, "unroutable")
             return
-        if self.sim.tracer is not None:
-            self.sim.tracer.instant(
-                "net.xmit", cat="net", track="net",
+        if self.sim.probe is not None:
+            self.sim.probe.instant(
+                "net.xmit", "net", "net",
                 src=packet.src, dst=packet.dst, size=packet.size,
                 kind=_payload_kind(packet.payload),
             )

@@ -44,13 +44,6 @@ RPC_PORT = 2049
 
 _HEADER_BYTES = 160  # UDP + IP + RPC + auth overhead, roughly
 
-#: rpc.latency histogram buckets — the registry default starts at 1 ms,
-#: above many LAN round trips, so sub-ms calls all piled into one bucket
-RPC_LATENCY_BUCKETS = (
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
-    0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
-)
-
 
 class RpcError(Exception):
     """Base class for RPC-layer failures."""
@@ -135,7 +128,8 @@ class _Call:
 class _DupCache:
     """Duplicate-request cache: (src, xid) -> in-progress or done-reply."""
 
-    _IN_PROGRESS = object()
+    #: what :meth:`begin` returns for a request that is still executing
+    IN_PROGRESS = object()
 
     def __init__(self, capacity: int):
         self.capacity = capacity
@@ -143,11 +137,11 @@ class _DupCache:
         self._in_progress: set = set()
 
     def begin(self, key: Tuple[str, int]) -> Optional[_Call]:
-        """Register a request.  Returns a cached reply to resend, or
-        None if the request should execute.  Raises _Busy if already
-        executing (caller drops the duplicate)."""
+        """Register a request.  Returns a cached reply to resend,
+        :attr:`IN_PROGRESS` if it is already executing (the caller drops
+        the duplicate), or None if the request should execute."""
         if key in self._in_progress:
-            raise _Busy()
+            return self.IN_PROGRESS
         cached = self._done.get(key)
         if cached is not None:
             return cached
@@ -163,10 +157,6 @@ class _DupCache:
     def clear(self) -> None:
         self._done.clear()
         self._in_progress.clear()
-
-
-class _Busy(Exception):
-    pass
 
 
 #: sentinel value a retransmit timer delivers into the reply event; the
@@ -254,47 +244,23 @@ class RpcEndpoint:
                 self._serve(msg), name="serve:%s:%s" % (self.address, msg.proc)
             )
 
-    def _note_duplicate(self, msg: _Call, kind: str) -> None:
-        """A retransmission hit the duplicate cache (``kind`` is "busy"
-        for a still-executing original, "done" for a cached reply)."""
-        if self.sim.tracer is not None:
-            self.sim.tracer.instant(
-                "rpc.dup_hit", cat="rpc", track=self.address,
-                proc=msg.proc, src=msg.src, kind=kind,
-            )
-        if self.sim.metrics is not None:
-            self.sim.metrics.counter("rpc.dup_hits").inc(
-                proc=msg.proc, endpoint=self.address, kind=kind
-            )
-
     def _serve(self, msg: _Call):
-        tracer = self.sim.tracer
-        if tracer is not None:
-            # join the caller's causal tree before recording anything
-            tracer.adopt(msg.ctx)
+        probe = self.sim.probe
         epoch = self.boot_epoch
         key = (msg.src, msg.xid)
-        try:
-            cached = self._dup_cache.begin(key)
-        except _Busy:
-            self._note_duplicate(msg, "busy")
-            return  # retransmission of an executing request: drop it
-        if cached is not None:
-            self._note_duplicate(msg, "done")
-            yield from self._send_reply(msg.src, cached)
+        cached = self._dup_cache.begin(key)
+        if cached is not None:  # a retransmission
+            busy = cached is _DupCache.IN_PROGRESS
+            if probe is not None:
+                kind = "busy" if busy else "done"
+                probe.dup_hit(self.address, msg.proc, msg.src, msg.ctx, kind)
+            if not busy:  # resend the reply; drop it while the original runs
+                yield from self._send_reply(msg.src, cached)
             return
 
-        span = None
-        if tracer is not None:
-            span = tracer.begin(
-                "rpc.serve:%s" % msg.proc, cat="rpc", track=self.address, src=msg.src
-            )
-        obs = self.sim.obs
         frame = None
-        if obs is not None:
-            # opened before thread-pool admission so queue-wait counts;
-            # closed before the reply is sent so transit stays net time
-            frame = obs.frame_begin("server")
+        if probe is not None:
+            frame = probe.serve_begin(self.address, msg.proc, msg.src, msg.ctx)
         handler = self._handlers.get(msg.proc)
         reply = _Call(xid=msg.xid, src=self.address, proc=msg.proc, is_reply=True)
         try:
@@ -306,8 +272,8 @@ class RpcEndpoint:
                     if self.cpu is not None and self.config.cpu_per_call > 0:
                         yield from self.cpu.consume(self.config.cpu_per_call)
                     self.server_stats.record(msg.proc, t=self.sim.now)
-                    if obs is not None:
-                        obs.note_request(msg.proc, msg.src)
+                    if frame is not None:
+                        probe.serve_admit(frame)
                     reply.result = yield from handler(msg.src, *msg.args)
                 except GeneratorExit:
                     raise  # service process torn down, not a handler error
@@ -325,9 +291,6 @@ class RpcEndpoint:
                     # re-executed — silently breaking at-least-once
                     # semantics.  The request was never acknowledged,
                     # so observers must not see it either.
-                    if frame is not None:
-                        obs.frame_abort(frame)
-                        frame = None
                     return
                 for listener in self.serve_listeners:
                     listener(
@@ -337,8 +300,7 @@ class RpcEndpoint:
                 # piggyback the server's phase split on the reply (the
                 # duplicate cache retains it, so replayed replies carry
                 # the original execution's attribution)
-                reply.srv_phases = obs.close_server_frame(frame)
-                frame = None
+                reply.srv_phases = probe.serve_close(frame)
             sanitizer = self.sim.sanitizer
             if sanitizer is not None and key in self._dup_cache._done:
                 sanitizer.on_rpc_double_reply(
@@ -347,13 +309,8 @@ class RpcEndpoint:
             self._dup_cache.finish(key, reply)
             yield from self._send_reply(msg.src, reply)
         finally:
-            if frame is not None:  # teardown mid-serve: drop, don't record
-                obs.frame_abort(frame)
-            if span is not None and span.t1 is None:
-                if reply.error is not None:
-                    tracer.end(span, error=type(reply.error).__name__)
-                else:
-                    tracer.end(span)
+            if frame is not None:
+                probe.serve_end(frame, reply.error)
 
     def _send_reply(self, dst: str, reply: _Call):
         size = _HEADER_BYTES + estimate_size(reply.result)
@@ -378,108 +335,65 @@ class RpcEndpoint:
         forever (backoff capped at 30 s) — an NFS client never gives up
         on its server.
         """
-        tracer, metrics = self.sim.tracer, self.sim.metrics
-        obs = self.sim.obs
-        if tracer is None and metrics is None and obs is None:
-            return (yield from self._call_inner(
-                dst, proc, args, timeout, max_retries, hard, None
-            ))
-        span = None
-        ctx = None
+        probe = self.sim.probe
         frame = None
-        if tracer is not None:
-            span = tracer.begin(
-                "rpc.call:%s" % proc, cat="rpc", track=self.address, dst=dst
-            )
-            ctx = tracer.context_of(span)
-        if obs is not None:
-            frame = obs.frame_begin("client")
-        t_start = self.sim.now
+        if probe is not None:
+            frame = probe.call_begin(self.address, proc, dst)
         try:
-            result = yield from self._call_inner(
-                dst, proc, args, timeout, max_retries, hard, ctx
-            )
-        except BaseException as exc:
-            if span is not None:
-                tracer.end(span, error=type(exc).__name__)
-            if frame is not None:
-                obs.record_client_failure(proc, frame)
-            raise
-        if span is not None:
-            tracer.end(span)
-        if frame is not None:
-            obs.record_client_op(proc, frame, server=dst)
-        if metrics is not None:
-            metrics.histogram("rpc.latency", buckets=RPC_LATENCY_BUCKETS).observe(
-                self.sim.now - t_start, proc=proc, endpoint=self.address,
-                server=dst,
-            )
-        return result
+            xid = next(self._xids)
+            ctx = None if frame is None else frame.ctx
+            msg = _Call(xid=xid, src=self.address, proc=proc, args=args, ctx=ctx)
+            size = _HEADER_BYTES + estimate_size(args)
+            wait = self.config.timeout if timeout is None else timeout
+            self.client_stats.record(proc, t=self.sim.now)
 
-    def _call_inner(
-        self,
-        dst: str,
-        proc: str,
-        args: tuple,
-        timeout: Optional[float],
-        max_retries: Optional[int],
-        hard: bool,
-        ctx: Optional[tuple],
-    ):
-        xid = next(self._xids)
-        msg = _Call(xid=xid, src=self.address, proc=proc, args=args, ctx=ctx)
-        size = _HEADER_BYTES + estimate_size(args)
-        wait = self.config.timeout if timeout is None else timeout
-        self.client_stats.record(proc, t=self.sim.now)
-
-        retries = self.config.max_retries if max_retries is None else max_retries
-        attempts = 1 << 62 if hard else retries + 1
-        attempt = -1
-        while (attempt := attempt + 1) < attempts:
-            if self.cpu is not None and self.config.cpu_per_call > 0:
-                yield from self.cpu.consume(self.config.cpu_per_call)
-            # One event serves both outcomes per attempt: the dispatcher
-            # succeeds it with the reply _Call; a bare cancellable timer
-            # (no Timeout event, no AnyOf condition) succeeds it with the
-            # _TIMED_OUT sentinel.  Whichever fires first wins; the
-            # loser is cancelled or sees the event already triggered.
-            reply_ev = Event(self.sim, "rpc-reply")
-            self._pending[xid] = reply_ev
-            yield from self.iface.send(dst, self.port, msg, size)
-            timer = self.sim.after(wait, self._expire, reply_ev)
-            reply = yield reply_ev
-            if reply is not _TIMED_OUT:
-                timer.cancel()
-                obs = self.sim.obs
-                if obs is not None and reply.srv_phases is not None:
-                    obs.attach_server_phases(reply.srv_phases)
+            retries = self.config.max_retries if max_retries is None else max_retries
+            attempts = 1 << 62 if hard else retries + 1
+            attempt = -1
+            while (attempt := attempt + 1) < attempts:
                 if self.cpu is not None and self.config.cpu_per_call > 0:
                     yield from self.cpu.consume(self.config.cpu_per_call)
-                if reply.error is not None:
-                    raise reply.error
-                return reply.result
-            # timed out: forget this attempt's waiter, back off, resend
-            self._pending.pop(xid, None)  # lint: ok=ATOM002 — xids are unique per attempt; each in-flight call owns its own _pending slot
-            if self.sim.obs is not None:
-                # the retransmit timer ran its full course: that window
-                # (send-complete to timer fire) was pure waiting
-                self.sim.obs.add("retrans.wait", wait)  # lint: ok=ATOM001 — obs.add is a pure accumulator; contributions from interleaved calls commute
-            wait = min(wait * self.config.backoff, 30.0)
-            if attempt + 1 < attempts:
-                self.client_stats.record("%s.retransmit" % proc, t=self.sim.now)
-                if self.sim.tracer is not None:
-                    self.sim.tracer.instant(
-                        "rpc.retransmit", cat="rpc", track=self.address,
-                        proc=proc, attempt=attempt + 1,
-                    )
-                if self.sim.metrics is not None:
-                    self.sim.metrics.counter("rpc.retrans").inc(
-                        proc=proc, endpoint=self.address
-                    )
-        raise RpcTimeout(
-            "%s -> %s %s: no reply after %d attempts"
-            % (self.address, dst, proc, attempts)
-        )
+                # One event serves both outcomes per attempt: the dispatcher
+                # succeeds it with the reply _Call; a bare cancellable timer
+                # (no Timeout event, no AnyOf condition) succeeds it with the
+                # _TIMED_OUT sentinel.  Whichever fires first wins; the
+                # loser is cancelled or sees the event already triggered.
+                reply_ev = Event(self.sim, "rpc-reply")
+                self._pending[xid] = reply_ev
+                yield from self.iface.send(dst, self.port, msg, size)
+                timer = self.sim.after(wait, self._expire, reply_ev)
+                reply = yield reply_ev
+                if reply is not _TIMED_OUT:
+                    timer.cancel()
+                    if self.cpu is not None and self.config.cpu_per_call > 0:
+                        yield from self.cpu.consume(self.config.cpu_per_call)
+                    if reply.error is not None:
+                        raise reply.error
+                    break
+                # timed out: forget this attempt's waiter, back off, resend
+                self._pending.pop(xid, None)  # lint: ok=ATOM002 — xids are unique per attempt; each in-flight call owns its own _pending slot
+                retry = attempt + 1 if attempt + 1 < attempts else 0
+                if retry:
+                    self.client_stats.record("%s.retransmit" % proc, t=self.sim.now)
+                if self.sim.probe is not None:
+                    # the retransmit timer ran its full course: that window
+                    # (send-complete to timer fire) was pure waiting
+                    self.sim.probe.call_timeout(self.address, proc, wait, retry)
+                wait = min(wait * self.config.backoff, 30.0)
+            else:
+                raise RpcTimeout(
+                    "%s -> %s %s: no reply after %d attempts"
+                    % (self.address, dst, proc, attempts)
+                )
+        except BaseException as exc:
+            if frame is not None:
+                probe.call_end(frame, exc)
+            raise
+        if frame is not None:
+            # the server's phase split rides on the reply (set only
+            # when a collector is attached)
+            probe.call_end(frame, srv_phases=reply.srv_phases)
+        return reply.result
 
     @staticmethod
     def _expire(reply_ev: Event) -> None:

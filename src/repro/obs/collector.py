@@ -63,7 +63,7 @@ PHASES = (
 class _Frame:
     """One in-flight operation's accumulator (client or server side)."""
 
-    __slots__ = ("side", "t0", "t1", "acc", "srv_phases")
+    __slots__ = ("side", "t0", "t1", "acc")
 
     def __init__(self, side: str, t0: float):
         self.side = side
@@ -72,8 +72,6 @@ class _Frame:
         #: raw contribution kinds: "cpu.queue", "cpu.service",
         #: "disk.queue", "disk.service", "threads.queue", "retrans.wait"
         self.acc: Dict[str, float] = {}
-        #: (queue, cpu, disk, other, wall) shipped back by the server
-        self.srv_phases: Optional[Tuple[float, ...]] = None
 
     def add(self, kind: str, dt: float) -> None:
         self.acc[kind] = self.acc.get(kind, 0.0) + dt
@@ -128,10 +126,6 @@ class ObsCollector:
                 pass
         return frame
 
-    def frame_abort(self, frame: _Frame) -> None:
-        """Discard a frame without recording (crashed epoch, failed call)."""
-        self.frame_end(frame)
-
     def add(self, kind: str, dt: float) -> None:
         """Contribute ``dt`` seconds of ``kind`` to the innermost frame."""
         self.totals[kind] = self.totals.get(kind, 0.0) + dt
@@ -141,20 +135,10 @@ class ObsCollector:
             if stack:
                 stack[-1].add(kind, dt)
 
-    def attach_server_phases(self, phases: Tuple[float, ...]) -> None:
-        """Record the server's piggybacked phase tuple on the open call."""
-        proc = self.sim.current_process
-        if proc is not None:
-            stack = proc.obs_frames
-            if stack:
-                stack[-1].srv_phases = phases
-
-    # -- queue-wait stamping (called from Resource) -------------------------
+    # -- queue-wait stamping (resources with an obs_kind) --------------------
 
     def wait_begin(self, resource, ev) -> None:
         kind = resource.obs_kind
-        if kind is None:
-            return
         proc = self.sim.current_process
         frame = None
         if proc is not None and proc.obs_frames:
@@ -210,19 +194,24 @@ class ObsCollector:
     # -- client-side recording ----------------------------------------------
 
     def record_client_op(
-        self, proc_name: str, frame: _Frame, server: Optional[str] = None
+        self,
+        proc_name: str,
+        frame: _Frame,
+        server: Optional[str] = None,
+        srv_phases: Optional[Tuple[float, ...]] = None,
     ) -> None:
         """Close a client call frame and fold it into the per-op table.
 
         ``server`` is the destination address; sharded namespaces spread
         calls over several servers, and the per-server rollup shows which
-        machine carried the time."""
+        machine carried the time.  ``srv_phases`` is the (queue, cpu,
+        disk, other, wall) tuple the server shipped back on the reply."""
         self.frame_end(frame)
         acc = frame.acc
         e2e = frame.t1 - frame.t0
         client_cpu = acc.get("cpu.queue", 0.0) + acc.get("cpu.service", 0.0)
         retrans = acc.get("retrans.wait", 0.0)
-        srv = frame.srv_phases or (0.0, 0.0, 0.0, 0.0, 0.0)
+        srv = srv_phases or (0.0, 0.0, 0.0, 0.0, 0.0)
         srv_queue, srv_cpu, srv_disk, srv_other, srv_wall = srv
         # the residual: whatever no instrumented phase claims is transit
         net = e2e - client_cpu - retrans - srv_wall
@@ -274,7 +263,7 @@ class ObsCollector:
             cell["server_wall"] += srv_wall
 
     def record_client_failure(self, proc_name: str, frame: _Frame) -> None:
-        self.frame_abort(frame)
+        self.frame_end(frame)  # discarded, not recorded
         self.failed[proc_name] = self.failed.get(proc_name, 0) + 1
 
     def __repr__(self) -> str:

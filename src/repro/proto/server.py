@@ -166,10 +166,10 @@ class RemoteFsServer:
         self._check_available(src)
         g = self._gnode(fh)
         data = yield from self.export.read(g, offset, count)
-        if self.sim.obs is not None:
+        if self.sim.probe is not None:
             # hot-file accounting (Fletch's traffic-skew lens): which
             # files carry the read/write byte volume
-            self.sim.obs.tag_file(self._hot_key(fh), read_bytes=len(data))
+            self.sim.probe.tag_file(self._hot_key(fh), read_bytes=len(data))
         return data, self.lfs._attr(g.fid)
 
     def proc_write(self, src, fh: FileHandle, offset: int, data: bytes):
@@ -179,8 +179,8 @@ class RemoteFsServer:
         try:
             yield from self.export.write(g, offset, data)
             yield from self.export.fsync(g)  # stable storage, synchronously
-            if self.sim.obs is not None:
-                self.sim.obs.tag_file(self._hot_key(fh), write_bytes=len(data))
+            if self.sim.probe is not None:
+                self.sim.probe.tag_file(self._hot_key(fh), write_bytes=len(data))
             return self.lfs._attr(g.fid)
         except NoSuchFile:
             # the file was removed while this write was in flight

@@ -36,6 +36,8 @@ import os
 from collections import deque
 from typing import Any, Callable, List, Optional
 
+from .probe import Probe
+
 __all__ = [
     "Simulator",
     "Event",
@@ -325,11 +327,12 @@ class Simulator:
         self._unhandled_failures: dict = {}
         #: runtime race/leak sanitizer (repro.analysis); None disables
         self.sanitizer = None
-        #: causal tracer (repro.trace); None disables all instrumentation
+        #: the instrumentation seam (repro.sim.probe): None until an
+        #: enable_tracer/enable_metrics/enable_obs call attaches a sink
+        self.probe = None
+        #: the attached sinks, for exporters and experiments
         self.tracer = None
-        #: unified metrics registry (repro.metrics); None disables
         self.metrics = None
-        #: latency-attribution collector (repro.obs); None disables
         self.obs = None
         sanitize = os.environ.get("REPRO_SANITIZE", "")
         if sanitize not in ("", "0"):
@@ -351,17 +354,17 @@ class Simulator:
         self.sanitizer = Sanitizer(self, strict=strict)
         return self.sanitizer
 
-    def enable_tracer(self, trace_resumes: bool = False):
+    def enable_tracer(self):
         """Attach a :class:`repro.trace.Tracer` to this simulator.
 
         Every instrumented layer (rpc, network, cache, disk, cpu, snfs
-        state table) starts recording into it; with the default
-        ``tracer = None`` those hooks are single attribute tests.
+        state table) starts recording into it through :attr:`probe`.
         """
         from ..trace import Tracer
 
         if self.tracer is None:
-            self.tracer = Tracer(self, trace_resumes=trace_resumes)
+            self.probe = self.probe or Probe(self)
+            self.tracer = self.probe.tracer = Tracer(self)
         return self.tracer
 
     def enable_metrics(self):
@@ -369,7 +372,8 @@ class Simulator:
         from ..metrics.registry import MetricsRegistry
 
         if self.metrics is None:
-            self.metrics = MetricsRegistry(self)
+            self.probe = self.probe or Probe(self)
+            self.metrics = self.probe.registry = MetricsRegistry(self)
         return self.metrics
 
     def enable_obs(self):
@@ -384,7 +388,8 @@ class Simulator:
 
         self.enable_metrics()
         if self.obs is None:
-            self.obs = ObsCollector(self)
+            self.probe = self.probe or Probe(self)
+            self.obs = self.probe.collector = ObsCollector(self)
         return self.obs
 
     # -- low-level scheduling ----------------------------------------------

@@ -72,9 +72,9 @@ class Resource:
             self._waiters.append(ev)
             # queue-wait attribution must stamp the *waiter's* frame now:
             # the grant later runs in the releasing process's context
-            obs = self.sim.obs
-            if obs is not None and self.obs_kind is not None:
-                obs.wait_begin(self, ev)
+            probe = self.sim.probe
+            if probe is not None and self.obs_kind is not None:
+                probe.wait_begin(self, ev)
         return ev
 
     def try_acquire(self) -> bool:
@@ -91,9 +91,9 @@ class Resource:
         self._in_use -= 1
         if self._waiters and self._in_use < self.capacity:
             waiter = self._waiters.popleft()
-            obs = self.sim.obs
-            if obs is not None and self.obs_kind is not None:
-                obs.wait_end(self, waiter)
+            probe = self.sim.probe
+            if probe is not None and self.obs_kind is not None:
+                probe.wait_end(self, waiter)
             self._grant(waiter)
         if self._in_use == 0 and self._busy_since is not None:
             self._busy_accum += self.sim.now - self._busy_since

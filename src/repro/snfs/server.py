@@ -106,10 +106,9 @@ class SnfsServer(RemoteFsServer):
         sanitizer = self.sim.sanitizer
         if sanitizer is not None:
             sanitizer.note_write("snfs-state", key, what=event)
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.instant(
-                "snfs.transition", cat="snfs", track=self.host.name,
+        if self.sim.probe is not None:
+            self.sim.probe.instant(
+                "snfs.transition", "snfs", self.host.name,
                 event=event, file=repr(key), client=client,
                 before=before.value, after=after.value,
             )
@@ -136,23 +135,20 @@ class SnfsServer(RemoteFsServer):
         window closes.
         """
         if self.in_recovery:
-            if self.sim.metrics is not None:
-                self.sim.metrics.counter("recovery.rejections").inc(
-                    server=self.host.name, proto="snfs"
-                )
-            raise ServerRecovering(
-                self.boot_epoch, retry_after=self._recovery_until - self.sim.now
+            retry_after = self._recovery_until - self.sim.now
+        elif self.boot_epoch > 1 and src not in self._reasserted:
+            # after the grace period, a client we have never heard from
+            # this epoch must still reassert before touching state: its
+            # claims are validated individually (and possibly rejected)
+            # rather than silently accepted against the rebuilt table
+            retry_after = 0.0
+        else:
+            return
+        if self.sim.probe is not None:
+            self.sim.probe.count(
+                "recovery.rejections", server=self.host.name, proto="snfs"
             )
-        # after the grace period, a client we have never heard from this
-        # epoch must still reassert before touching state: its claims
-        # are validated individually (and possibly rejected) rather
-        # than silently accepted against the rebuilt table
-        if self.boot_epoch > 1 and src not in self._reasserted:
-            if self.sim.metrics is not None:
-                self.sim.metrics.counter("recovery.rejections").inc(
-                    server=self.host.name, proto="snfs"
-                )
-            raise ServerRecovering(self.boot_epoch, retry_after=0.0)
+        raise ServerRecovering(self.boot_epoch, retry_after=retry_after)
 
     def proc_ping(self, src):
         """Keepalive: returns the boot epoch so clients detect reboots."""
@@ -200,10 +196,11 @@ class SnfsServer(RemoteFsServer):
                 )
             finally:
                 lock.release()
-        if self.sim.metrics is not None and src not in self._reasserted:
+        if self.sim.probe is not None and src not in self._reasserted:
             # recovery time as the clients experience it: how long
             # after the reboot each client got its state reasserted
-            self.sim.metrics.histogram("recovery.reassert_delay").observe(
+            self.sim.probe.observe(
+                "recovery.reassert_delay",
                 self.sim.now - (self._recovery_until - self.grace_period),
                 server=self.host.name, proto="snfs",
             )
@@ -394,9 +391,9 @@ class SnfsServer(RemoteFsServer):
     def _reclaim_entries(self, want: int = 8):
         """Free CLOSED_DIRTY entries by calling back their last writers."""
         pairs = self.state.reclaim_callbacks(want=want)
-        if pairs and self.sim.tracer is not None:
-            self.sim.tracer.instant(
-                "snfs.reclaim", cat="snfs", track=self.host.name, entries=len(pairs)
+        if pairs and self.sim.probe is not None:
+            self.sim.probe.instant(
+                "snfs.reclaim", "snfs", self.host.name, entries=len(pairs)
             )
         dropped = 0
         for key, cb in pairs:
@@ -455,11 +452,10 @@ class SnfsServer(RemoteFsServer):
     def _callback(self, fh: FileHandle, cb: Callback):
         """One server->client callback RPC, honouring the N-1 rule."""
         yield self._callback_slots.acquire()
-        tracer = self.sim.tracer
         span = None
-        if tracer is not None:
-            span = tracer.begin(
-                "snfs.callback", cat="snfs", track=self.host.name,
+        if self.sim.probe is not None:
+            span = self.sim.probe.span_begin(
+                "snfs.callback", "snfs", self.host.name,
                 client=cb.client, writeback=cb.writeback, invalidate=cb.invalidate,
             )
         try:
@@ -476,16 +472,15 @@ class SnfsServer(RemoteFsServer):
         except (RpcTimeout, RpcError):
             # the client is down: honour the open anyway (§3.2); its
             # claim on the file is forgotten
-            if tracer is not None:
-                tracer.instant(
-                    "snfs.callback.dead", cat="snfs", track=self.host.name,
-                    client=cb.client,
+            if self.sim.probe is not None:
+                self.sim.probe.instant(
+                    "snfs.callback.dead", "snfs", self.host.name, client=cb.client
                 )
             self.state.drop_client(fh.key(), cb.client)
             return False
         finally:
             if span is not None:
-                tracer.end(span)
+                self.sim.probe.span_end(span)
             self._callback_slots.release()
 
     # -- consistent directory caching (§7 extension) -----------------------

@@ -113,24 +113,16 @@ class BufferCache:
         blocks = self._files[file_key]
         blocks[block_no] = blocks.pop(block_no)
 
-    def _trace(self, name: str, **args) -> None:
-        # call sites guard on ``self.sim.tracer is not None`` themselves
-        # so a disabled tracer costs nothing (no str() formatting, no
-        # kwargs dict, no call) on the block-lookup hot path
-        if self.sim.tracer is not None:
-            self.sim.tracer.instant(name, cat="cache", track=self.name, **args)
-
     def lookup(self, file_key: Hashable, block_no: int) -> Optional[Buffer]:
         buf = self._buffers.get((file_key, block_no))
         if buf is not None:
             self._touch(buf)
-            self.stats.record("hits")
-            if self.sim.tracer is not None:
-                self._trace("cache.hit", file=str(file_key), block=block_no)
-        else:
-            self.stats.record("misses")
-            if self.sim.tracer is not None:
-                self._trace("cache.miss", file=str(file_key), block=block_no)
+        self.stats.record("misses" if buf is None else "hits")
+        if self.sim.probe is not None:
+            self.sim.probe.instant(
+                "cache.miss" if buf is None else "cache.hit", "cache", self.name,
+                file=str(file_key), block=block_no,
+            )
         return buf
 
     def contains(self, file_key: Hashable, block_no: int) -> bool:
@@ -183,10 +175,10 @@ class BufferCache:
         if buf.busy:
             raise CacheError("buffer %r is already being flushed" % (buf.key,))
         buf.busy = True
-        if self.sim.tracer is not None:
-            self._trace(
-                "cache.flush_begin", file=str(buf.file_key), block=buf.block_no,
-                stamp=buf.wstamp,
+        if self.sim.probe is not None:
+            self.sim.probe.instant(
+                "cache.flush_begin", "cache", self.name, file=str(buf.file_key),
+                block=buf.block_no, stamp=buf.wstamp,
             )
         return buf.wstamp
 
@@ -202,29 +194,20 @@ class BufferCache:
         buffer was marked clean.
         """
         buf.busy = False
-        tracing = self.sim.tracer is not None
         if not clean:
-            if tracing:
-                self._trace(
-                    "cache.flush_end", file=str(buf.file_key), block=buf.block_no,
-                    stamp=stamp, outcome="abandoned",
-                )
-            return False
-        if buf.wstamp != stamp:
+            outcome = "abandoned"
+        elif buf.wstamp != stamp:
             self.stats.record("overlapped_flushes")
-            if tracing:
-                self._trace(
-                    "cache.flush_end", file=str(buf.file_key), block=buf.block_no,
-                    stamp=stamp, outcome="overlapped",
-                )
-            return False
-        self.mark_clean(buf)
-        if tracing:
-            self._trace(
-                "cache.flush_end", file=str(buf.file_key), block=buf.block_no,
-                stamp=stamp, outcome="clean",
+            outcome = "overlapped"
+        else:
+            self.mark_clean(buf)
+            outcome = "clean"
+        if self.sim.probe is not None:
+            self.sim.probe.instant(
+                "cache.flush_end", "cache", self.name, file=str(buf.file_key),
+                block=buf.block_no, stamp=stamp, outcome=outcome,
             )
-        return True
+        return outcome == "clean"
 
     def _make_room(self):
         while len(self._buffers) >= self.capacity:
@@ -252,9 +235,10 @@ class BufferCache:
             if self._buffers.get(victim.key) is victim:
                 self._remove(victim)
                 self.stats.record("evictions")
-                if self.sim.tracer is not None:
-                    self._trace(
-                        "cache.evict", file=str(victim.file_key), block=victim.block_no
+                if self.sim.probe is not None:
+                    self.sim.probe.instant(
+                        "cache.evict", "cache", self.name, file=str(victim.file_key),
+                        block=victim.block_no,
                     )
 
     def _pick_victim(self) -> Optional[Buffer]:
@@ -307,7 +291,10 @@ class BufferCache:
             dropped += 1
         if dropped:
             self.stats.record("invalidated", n=dropped)
-            self._trace("cache.invalidate", file=str(file_key), blocks=dropped)
+            if self.sim.probe is not None:
+                self.sim.probe.instant(
+                    "cache.invalidate", "cache", self.name, file=str(file_key), blocks=dropped
+                )
         return dropped
 
     def cancel_dirty_file(self, file_key: Hashable) -> int:
@@ -325,7 +312,11 @@ class BufferCache:
             self._remove(buf)
         if cancelled:
             self.stats.record("cancelled_writes", n=cancelled)
-            self._trace("cache.cancel_dirty", file=str(file_key), blocks=cancelled)
+            if self.sim.probe is not None:
+                self.sim.probe.instant(
+                    "cache.cancel_dirty", "cache", self.name, file=str(file_key),
+                    blocks=cancelled,
+                )
         return cancelled
 
     def dirty_buffers(

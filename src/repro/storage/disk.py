@@ -101,28 +101,26 @@ class Disk:
             raise ValueError("disk I/O of %d blocks" % n_blocks)
         yield self._drive.acquire()
         span = None
-        if self.sim.tracer is not None:
-            span = self.sim.tracer.begin(
-                "disk.%s" % kind[:-1], cat="disk", track=self.name,
-                addr=addr, blocks=n_blocks,
+        if self.sim.probe is not None:
+            span = self.sim.probe.span_begin(
+                "disk.%s" % kind[:-1], "disk", self.name, addr=addr, blocks=n_blocks
             )
         try:
             for attempt in range(_MAX_IO_RETRIES + 1):
                 delay = self._access_time(addr, n_blocks) * self.slow_factor
                 yield self.sim.timeout(delay)
-                if self.sim.obs is not None:
+                probe = self.sim.probe
+                if probe is not None:
                     # every attempt's access time counts, retries included:
                     # the op really did wait on the spindle for all of it
-                    self.sim.obs.add("disk.service", delay)
+                    probe.service("disk.service", delay)
                 if self.error_rate <= 0 or self._fault_rng.random() >= self.error_rate:
                     break
                 # transient failure: the access time was paid for nothing;
                 # the driver repositions and retries
                 self.stats.record("io_errors", t=self.sim.now)
-                if self.sim.tracer is not None:
-                    self.sim.tracer.instant(
-                        "disk.io_error", cat="disk", track=self.name, addr=addr
-                    )
+                if probe is not None:
+                    probe.instant("disk.io_error", "disk", self.name, addr=addr)
                 self._head_pos = None
             else:
                 raise DiskError(
@@ -131,7 +129,7 @@ class Disk:
             self._head_pos = addr + n_blocks
         finally:
             if span is not None:
-                self.sim.tracer.end(span)
+                self.sim.probe.span_end(span)
             self._drive.release()
         self.stats.record(kind, t=self.sim.now)
         self.stats.record(kind[:-1] + "_blocks", n=n_blocks)

@@ -18,10 +18,10 @@ all keyed by **simulated** time and stitched into one causal tree:
 
 Design constraints:
 
-* **zero overhead when off** — the tracer hangs off ``sim.tracer``
-  (``None`` by default); every instrumentation site is a single
-  attribute load and ``None`` test, and no trace objects exist until
-  ``sim.enable_tracer()`` (or ``REPRO_TRACE=1``) is used;
+* **zero overhead when off** — sites report to ``sim.probe`` (one
+  attribute load and ``None`` test while no sink is attached), and no
+  trace objects exist until ``sim.enable_tracer()`` (or
+  ``REPRO_TRACE=1``) is used;
 * **deterministic** — ids come from counters, timestamps from
   ``sim.now``; no wall clock, no RNG, no ``id()``/hash values.  The
   exported trace of a seeded run is byte-identical across replays,
@@ -100,13 +100,10 @@ class Tracer:
     #: every Tracer constructed since the last drain (export plumbing)
     instances: List["Tracer"] = []
 
-    def __init__(self, sim, trace_resumes: bool = False):
+    def __init__(self, sim):
         self.sim = sim
         self.spans: List[Span] = []
         self.events: List[TraceEvent] = []
-        #: also record a proc.resume event on every process resumption
-        #: (very high volume; off by default)
-        self.trace_resumes = trace_resumes
         self._span_ids = itertools.count(1)
         self._event_ids = itertools.count(1)
         self._trace_ids = itertools.count(1)

@@ -55,34 +55,12 @@ def test_times_kept_when_enabled():
     assert c.all_times() == [(1.5, "op"), (2.5, "op"), (9.0, "other")]
 
 
-def test_rate_series_buckets():
-    c = Counters(keep_times=True)
-    for t in (0.1, 0.2, 0.3, 5.5, 5.6):
-        c.record("op", t=t)
-    series = c.rate_series("op", bucket=5.0, t_end=10.0)
-    assert series == [(0.0, 3 / 5.0), (5.0, 2 / 5.0)]
-
-
-def test_rate_series_empty():
-    c = Counters(keep_times=True)
-    assert c.rate_series("op", bucket=1.0) == [(0.0, 0.0)]
-
-
 def test_reset_clears_everything():
     c = Counters(keep_times=True)
     c.record("op", t=1.0)
     c.reset()
     assert c.get("op") == 0
     assert c.times("op") == []
-
-
-def test_snapshot_diff():
-    c = Counters()
-    c.record("a", n=3)
-    snap = c.as_dict()
-    c.record("a", n=2)
-    c.record("b", n=1)
-    assert c.snapshot_diff(snap) == {"a": 2, "b": 1}
 
 
 def test_repr_readable():

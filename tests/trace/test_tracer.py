@@ -119,7 +119,6 @@ def test_spawn_and_finish_instants_recorded(runner):
 
 def test_resume_instants_only_when_enabled(runner):
     tracer = runner.sim.enable_tracer()
-    assert not tracer.trace_resumes
 
     def work():
         yield runner.sim.timeout(1.0)
